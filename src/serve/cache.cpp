@@ -24,6 +24,8 @@ namespace {
 // stays memory-only.
 constexpr int kMaxProbes = 4;
 
+}  // namespace
+
 std::string hex64(std::uint64_t value) {
   char buffer[17];
   std::snprintf(buffer, sizeof(buffer), "%016llx",
@@ -31,8 +33,29 @@ std::string hex64(std::uint64_t value) {
   return buffer;
 }
 
-// Reads a whole file; nullopt when absent or unreadable.
-std::optional<std::string> slurp(const std::string& path) {
+std::vector<std::string> list_files_with_suffix(
+    const std::string& dir, std::initializer_list<const char*> suffixes) {
+  std::vector<std::string> names;
+#if defined(__unix__) || defined(__APPLE__)
+  if (DIR* handle = ::opendir(dir.c_str())) {
+    while (const dirent* entry = ::readdir(handle)) {
+      const std::string name = entry->d_name;
+      for (const char* suffix : suffixes) {
+        const std::size_t n = std::strlen(suffix);
+        if (name.size() > n && name.compare(name.size() - n, n, suffix) == 0) {
+          names.push_back(name);
+          break;
+        }
+      }
+    }
+    ::closedir(handle);
+  }
+  std::sort(names.begin(), names.end());
+#endif
+  return names;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (!file) return std::nullopt;
   std::string data;
@@ -46,8 +69,6 @@ std::optional<std::string> slurp(const std::string& path) {
   if (!ok) return std::nullopt;
   return data;
 }
-
-}  // namespace
 
 ResultCache::ResultCache(std::string disk_dir) : dir_(std::move(disk_dir)) {
   if (dir_.empty()) return;
@@ -64,22 +85,8 @@ ResultCache::ResultCache(std::string disk_dir) : dir_(std::move(disk_dir)) {
 // unrecovered — but the operator should hear about it once, up front,
 // instead of diagnosing silent cache misses later.
 void ResultCache::scan_disk() const {
-#if defined(__unix__) || defined(__APPLE__)
-  std::vector<std::string> names;
-  if (DIR* dir = ::opendir(dir_.c_str())) {
-    while (const dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      const auto ends_with = [&name](const char* suffix) {
-        const std::size_t n = std::strlen(suffix);
-        return name.size() > n &&
-               name.compare(name.size() - n, n, suffix) == 0;
-      };
-      if (ends_with(".mfc") || ends_with(".mfj")) names.push_back(name);
-    }
-    ::closedir(dir);
-  }
-  std::sort(names.begin(), names.end());  // deterministic warning order
-  for (const std::string& name : names) {
+  for (const std::string& name :
+       list_files_with_suffix(dir_, {".mfc", ".mfj"})) {
     const std::string path = dir_ + "/" + name;
     if (std::FILE* file = std::fopen(path.c_str(), "rb")) {
       std::fclose(file);
@@ -90,7 +97,6 @@ void ResultCache::scan_disk() const {
                    path.c_str(), std::strerror(errno));
     }
   }
-#endif
 }
 
 std::string ResultCache::entry_path(std::uint64_t hash, int probe) const {
@@ -143,7 +149,7 @@ std::optional<std::string> ResultCache::disk_lookup(
   const std::uint64_t hash = campaign_key_hash(key_string);
   for (int probe = 0; probe < kMaxProbes; ++probe) {
     const std::string path = entry_path(hash, probe);
-    const auto data = slurp(path);
+    const auto data = read_file(path);
     if (!data) return std::nullopt;  // first absent probe ends the chain
     const std::size_t newline = data->find('\n');
     if (newline == std::string::npos) continue;  // torn or foreign file
@@ -169,7 +175,7 @@ void ResultCache::disk_store(const std::string& key_string,
   const std::uint64_t hash = campaign_key_hash(key_string);
   int probe = 0;
   for (; probe < kMaxProbes; ++probe) {
-    const auto data = slurp(entry_path(hash, probe));
+    const auto data = read_file(entry_path(hash, probe));
     if (!data) break;  // free slot
     const std::size_t newline = data->find('\n');
     if (newline == std::string::npos ||

@@ -18,14 +18,30 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
 
 namespace megflood::serve {
+
+// Files of one campaign in the cache directory (.mfc entry, .mfj journal,
+// .mfq quarantine marker) share a stem: the 16-digit lower-case hex of
+// the campaign key hash.
+std::string hex64(std::uint64_t value);
+
+// Names (not paths) of the entries of `dir` ending in one of `suffixes`,
+// sorted so every scan is deterministic.  A missing or unlistable
+// directory lists as empty.
+std::vector<std::string> list_files_with_suffix(
+    const std::string& dir, std::initializer_list<const char*> suffixes);
+
+// A whole file's bytes; nullopt when absent or unreadable.
+std::optional<std::string> read_file(const std::string& path);
 
 struct CacheStats {
   std::uint64_t hits = 0;       // lookup answered (memory or disk)

@@ -9,17 +9,12 @@
 #include <stdexcept>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <dirent.h>
-#endif
-
 #include "core/checkpoint.hpp"
-#include "core/format.hpp"
 #include "core/process.hpp"
 #include "core/sweep.hpp"
+#include "serve/campaign_runner.hpp"
 #include "serve/json.hpp"
 #include "serve/worker.hpp"
-#include "util/fault_injection.hpp"
 
 namespace megflood::serve {
 
@@ -44,13 +39,6 @@ constexpr const char* kQuarantineSuffix = ".mfq";
 // How often the supervisor's pump wakes to check cancel flags and the
 // heartbeat watchdog while waiting on a worker.
 constexpr int kWorkerPollMs = 250;
-
-std::string hex64(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
 
 }  // namespace
 
@@ -352,9 +340,37 @@ bool Scheduler::pick_next(QueuedSubJob& out) {
   return false;
 }
 
-// Runs one sub-job on the calling thread.  Takes `lock` held, drops it
-// around the campaign, reacquires to resolve.  In process mode the
-// campaign itself runs in the slot's worker subprocess instead.
+// The terminal verdict of a quarantined campaign.
+void Scheduler::mark_quarantined(SubJobReply& reply,
+                                 const QuarantineInfo& info) {
+  reply.worker_crash = true;
+  reply.crash_signal = info.signal;
+  reply.crashes = info.crashes;
+  reply.error = "quarantined: worker crashed (" + info.signal + ") " +
+                std::to_string(info.crashes) + " times";
+}
+
+// Credits a sub-job's cumulative trial count to its job.  Both modes
+// report cumulative counts (journal replays included); only the increase
+// over what this sub-job already credited counts, so a crash-retry that
+// replays its journal — or re-counts from zero without one — never
+// counts a trial twice.
+void Scheduler::credit_progress(Job& job, std::uint64_t& credited,
+                                std::uint64_t cumulative) {
+  if (cumulative <= credited) return;
+  const std::uint64_t delta = cumulative - credited;
+  credited = cumulative;
+  job.completed += delta;
+  trials_done_ += delta;
+  emit_to(job.client,
+          event_trial_done(job.id, job.completed, job.total_trials));
+}
+
+// Runs one sub-job.  After the shared pre-checks the campaign runs either
+// in-process through run_campaign() or in the slot's worker subprocess
+// (which runs the same run_campaign()); one tail then maps the outcome to
+// the reply, the cache and the events.  Takes `lock` held, drops it
+// around the campaign, returns with it held.
 void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
                         std::size_t slot) {
   const std::shared_ptr<Job>& job = item.job;
@@ -377,20 +393,14 @@ void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
     resolve(job, item.work.index, std::move(reply));
     return;
   }
-  if (isolation_ == IsolationMode::kProcess) {
-    // A quarantined campaign never executes again: it resolves straight
-    // to its recorded crash verdict, so a resubmitted poison job costs a
-    // map lookup, not another worker.
-    const auto poisoned = quarantined_.find(reply.key);
-    if (poisoned != quarantined_.end()) {
-      reply.worker_crash = true;
-      reply.crash_signal = poisoned->second.signal;
-      reply.crashes = poisoned->second.crashes;
-      reply.error = "quarantined: worker crashed (" + reply.crash_signal +
-                    ") " + std::to_string(reply.crashes) + " times";
-      resolve(job, item.work.index, std::move(reply));
-      return;
-    }
+  // A quarantined campaign never executes again: it resolves straight to
+  // its recorded crash verdict, so a resubmitted poison job costs a map
+  // lookup, not another worker.  (Only process mode ever quarantines.)
+  if (const auto poisoned = quarantined_.find(reply.key);
+      poisoned != quarantined_.end()) {
+    mark_quarantined(reply, poisoned->second);
+    resolve(job, item.work.index, std::move(reply));
+    return;
   }
   if (!job->running_emitted) {
     job->running_emitted = true;
@@ -402,91 +412,26 @@ void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
     const auto owner = clients_.find(job->client);
     if (owner != clients_.end()) ++owner->second.in_flight;
   }
+
+  std::uint64_t credited = 0;  // this sub-job's trials counted so far
+  CampaignOutcome outcome;
   if (isolation_ == IsolationMode::kProcess) {
-    execute_in_worker(item, std::move(reply), lock, slot);
-    return;
-  }
-
-  MeasureHooks hooks;
-  hooks.cancel = &job->cancel;
-  FaultPlan* const plan = fault_plan_;
-  if (plan != nullptr) {
-    hooks.on_trial_start = [plan](std::size_t trial) {
-      plan->fire_trial_start(trial);
-    };
-  }
-  hooks.on_trial_recorded = [this, &job, plan](std::size_t trial) {
-    // Called from the campaign below, which runs with mutex_ released.
-    {
+    outcome = execute_in_worker(item, reply, credited, lock, slot);
+  } else {
+    RunOptions options;
+    if (!journal_dir_.empty()) options.journal_path = journal_path(reply.key);
+    options.deadline_s = job->deadline_s;
+    options.cancel = &job->cancel;
+    options.fault_plan = fault_plan_;
+    options.on_progress = [this, &job, &credited](std::size_t done) {
+      // Called from the campaign below, which runs with mutex_ released.
       std::lock_guard<std::mutex> relock(mutex_);
-      ++job->completed;
-      ++trials_done_;
-      emit_to(job->client,
-              event_trial_done(job->id, job->completed, job->total_trials));
-    }
-    // kill:after= counts durable records daemon-wide and fires here, after
-    // the trial_done event is queued for delivery.
-    if (plan != nullptr) plan->fire_trial_recorded(trial);
-  };
-
-  // The deadline is applied to a spec *copy* at execute time, after the
-  // campaign key was computed at submit time — a job's deadline can never
-  // leak into cache or journal identity.
-  ScenarioSpec spec = item.work.spec;
-  if (job->deadline_s > 0.0) spec.trial.trial_deadline_s = job->deadline_s;
-
-  lock.unlock();
-
-  // With a journal directory configured, every trial of this campaign is
-  // recorded durably before it counts, so a SIGKILL loses at most the
-  // in-flight trial and recover_journals() finishes the rest on restart.
-  // A journal whose header does not match (a hash-named file from some
-  // other experiment) is replaced; journal I/O failure degrades to an
-  // unjournaled run — serving beats durability here.
-  std::unique_ptr<CheckpointJournal> journal;
-  std::string jpath;
-  if (!journal_dir_.empty()) {
-    jpath = journal_path(item.work.key);
-    const CheckpointKey ckey{item.work.key, 1};
-    try {
-      journal = std::make_unique<CheckpointJournal>(jpath, ckey);
-    } catch (const std::invalid_argument&) {
-      std::remove(jpath.c_str());
-      try {
-        journal = std::make_unique<CheckpointJournal>(jpath, ckey);
-      } catch (const std::exception&) {
-      }
-    } catch (const std::exception&) {
-    }
-    hooks.checkpoint = journal.get();
+      credit_progress(*job, credited, done);
+    };
+    lock.unlock();
+    outcome = run_campaign(item.work.spec, options);
+    lock.lock();
   }
-
-  std::string result_json;
-  std::string error;
-  bool interrupted = false;
-  bool deadline_hit = false;
-  try {
-    const ScenarioResult result = run_scenario(spec, hooks);
-    interrupted = result.measurement.interrupted;
-    if (!interrupted) {
-      // Serialize against the *submitted* spec (no deadline): cached and
-      // resumed results stay byte-identical to an uninterrupted run.
-      result_json =
-          result_json_object(item.work.spec, result, result.warnings);
-    }
-  } catch (const TrialDeadlineExceeded& e) {
-    deadline_hit = true;
-    error = e.what();
-  } catch (const std::exception& e) {
-    error = e.what();
-  }
-  journal.reset();  // close before deciding the file's fate
-  if (!jpath.empty() && error.empty() && !interrupted) {
-    // Complete: the cache owns the result now, the journal is spent.  On
-    // any failure path the journal stays for a later resume.
-    std::remove(jpath.c_str());
-  }
-  lock.lock();
 
   --running_subjobs_;
   {
@@ -495,32 +440,36 @@ void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
       --owner->second.in_flight;
     }
   }
-  if (deadline_hit) {
+  if (outcome.deadline) {
     reply.deadline_exceeded = true;
-    reply.error = std::move(error);
+    reply.error = std::move(outcome.error);
     ++deadline_exceeded_;
     emit_to(job->client, event_deadline_exceeded(job->id, job->completed,
                                                  job->total_trials));
-  } else if (!error.empty()) {
-    reply.error = std::move(error);
-  } else if (interrupted) {
+  } else if (!outcome.error.empty()) {
+    reply.error = std::move(outcome.error);
+  } else if (outcome.interrupted) {
     reply.cancelled = true;
+  } else if (outcome.result_json.empty()) {
+    reply.error = "worker returned no result";
   } else {
-    reply.result_json = result_json;
-    cache_->store(item.work.key, result_json);
+    cache_->store(item.work.key, outcome.result_json);
+    reply.result_json = std::move(outcome.result_json);
   }
   resolve(job, item.work.index, std::move(reply));
 }
 
-// Process-mode execution: dispatch the sub-job to the slot's worker and
-// pump its event stream, translating trial lines into the same
-// trial_done events thread mode emits.  A worker death charges the
-// campaign and retries on a respawned worker until the crash limit, then
-// quarantines.  Entered with mutex_ held (counters already bumped by
-// execute()); returns with it held.
-void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
-                                  std::unique_lock<std::mutex>& lock,
-                                  std::size_t slot_index) {
+// Process-mode campaign: dispatch the sub-job to the slot's worker and
+// pump its event stream, crediting its trial lines exactly as thread mode
+// credits on_progress.  A worker death charges the campaign and retries
+// on a respawned worker until the crash limit, then quarantines (setting
+// the crash fields of `reply`).  Entered with mutex_ held; returns with
+// it held.
+CampaignOutcome Scheduler::execute_in_worker(const QueuedSubJob& item,
+                                             SubJobReply& reply,
+                                             std::uint64_t& credited,
+                                             std::unique_lock<std::mutex>& lock,
+                                             std::size_t slot_index) {
   using Clock = std::chrono::steady_clock;
   const std::shared_ptr<Job>& job = item.job;
   WorkerSlot& slot = worker_slots_[slot_index];
@@ -533,19 +482,11 @@ void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
   // (scenario args + --seed + --trials); the worker re-derives the spec
   // from it, which is exactly the recover_journals() round-trip.
   wjob.cli = item.work.key.scenario_cli;
-  wjob.journal = journal_dir_.empty() ? std::string()
-                                      : journal_path(item.work.key);
+  wjob.journal = journal_dir_.empty() ? std::string() : journal_path(reply.key);
   wjob.deadline_s = job->deadline_s;
   wjob.memory_mb = worker_memory_mb_;
 
-  std::string result_json;
-  std::string error;
-  bool interrupted = false;
-  bool deadline_hit = false;
-  // Cumulative trials this sub-job has reported (journal replays
-  // included), so a crash-retry resumes the count instead of repeating it.
-  std::uint64_t sub_done = 0;
-
+  CampaignOutcome outcome;
   while (true) {
     // mutex_ held at the top of every attempt.
     {
@@ -553,7 +494,7 @@ void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
       wjob.attempt = it == campaign_crashes_.end() ? 0 : it->second;
     }
     if (job->cancel.load(std::memory_order_relaxed)) {
-      interrupted = true;
+      outcome.interrupted = true;
       break;
     }
     lock.unlock();
@@ -568,7 +509,7 @@ void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
       std::string spawn_error;
       if (!slot.process->spawn(spawn_error)) {
         lock.lock();
-        error = "worker spawn failed: " + spawn_error;
+        outcome.error = "worker spawn failed: " + spawn_error;
         break;
       }
       lock.lock();
@@ -627,26 +568,18 @@ void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
       if (kind->string == "trial") {
         const JsonValue* done = event->find("done");
         if (!done || !done->is_number()) continue;
-        const auto total = static_cast<std::uint64_t>(done->number);
-        // `done` is cumulative; after a journal-less retry the worker
-        // re-counts from zero, so only forward progress is credited.
-        if (total > sub_done) {
-          const std::uint64_t delta = total - sub_done;
-          sub_done = total;
-          std::lock_guard<std::mutex> relock(mutex_);
-          job->completed += delta;
-          trials_done_ += delta;
-          emit_to(job->client, event_trial_done(job->id, job->completed,
-                                                job->total_trials));
-        }
+        std::lock_guard<std::mutex> relock(mutex_);
+        credit_progress(*job, credited,
+                        static_cast<std::uint64_t>(done->number));
       } else if (kind->string == "result") {
+        // The wire line is CampaignOutcome, member for member.
         const JsonValue* flag = event->find("deadline");
-        deadline_hit = flag && flag->is_bool() && flag->boolean;
+        outcome.deadline = flag && flag->is_bool() && flag->boolean;
         flag = event->find("interrupted");
-        interrupted = flag && flag->is_bool() && flag->boolean;
+        outcome.interrupted = flag && flag->is_bool() && flag->boolean;
         if (const JsonValue* err = event->find("error");
             err != nullptr && err->is_string()) {
-          error = err->string;
+          outcome.error = err->string;
         }
         // The result object is the line's final member; its bytes are
         // spliced out verbatim so cache entries stay byte-identical to
@@ -655,21 +588,18 @@ void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
         const std::string marker = ", \"result\": ";
         const std::size_t at = line.find(marker);
         if (at != std::string::npos && line.size() > at + marker.size()) {
-          result_json = line.substr(at + marker.size(),
-                                    line.size() - at - marker.size() - 1);
+          outcome.result_json = line.substr(
+              at + marker.size(), line.size() - at - marker.size() - 1);
         }
         got_result = true;
       }
     }
 
-    if (got_result) {
-      lock.lock();
-      break;
-    }
+    lock.lock();
+    if (got_result) break;
 
     // Worker died (or wedged) mid-campaign: classify, charge the
     // campaign, and either retry on a fresh worker or quarantine.
-    lock.lock();
     slot.pid = 0;
     ++worker_restarts_;
     const std::uint64_t crashes = ++campaign_crashes_[reply.key];
@@ -686,45 +616,15 @@ void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
       quarantined_[reply.key] = info;
       ++jobs_quarantined_;
       persist_quarantine(reply.key, info);
-      reply.worker_crash = true;
-      reply.crash_signal = info.signal;
-      reply.crashes = crashes;
-      error = "quarantined: worker crashed (" + info.signal + ") " +
-              std::to_string(crashes) + " times";
+      mark_quarantined(reply, info);
+      outcome.error = reply.error;
       break;
     }
     // Below the limit: loop back and re-dispatch.  The journal the dead
     // worker left behind makes the retry resume bit-identically.
   }
-
-  // mutex_ held.
   slot.busy = false;
-  --running_subjobs_;
-  {
-    const auto owner = clients_.find(job->client);
-    if (owner != clients_.end() && owner->second.in_flight > 0) {
-      --owner->second.in_flight;
-    }
-  }
-  if (reply.worker_crash) {
-    reply.error = std::move(error);
-  } else if (deadline_hit) {
-    reply.deadline_exceeded = true;
-    reply.error = std::move(error);
-    ++deadline_exceeded_;
-    emit_to(job->client, event_deadline_exceeded(job->id, job->completed,
-                                                 job->total_trials));
-  } else if (!error.empty()) {
-    reply.error = std::move(error);
-  } else if (interrupted) {
-    reply.cancelled = true;
-  } else if (!result_json.empty()) {
-    reply.result_json = result_json;
-    cache_->store(item.work.key, result_json);
-  } else {
-    reply.error = "worker returned no result";
-  }
-  resolve(job, item.work.index, std::move(reply));
+  return outcome;
 }
 
 bool Scheduler::run_one() {
@@ -791,8 +691,9 @@ void Scheduler::drain() {
   }
 }
 
-std::string Scheduler::journal_path(const CampaignKey& key) const {
-  return journal_dir_ + "/" + hex64(campaign_key_hash(key)) + kJournalSuffix;
+std::string Scheduler::journal_path(const std::string& key_string) const {
+  return journal_dir_ + "/" + hex64(campaign_key_hash(key_string)) +
+         kJournalSuffix;
 }
 
 std::string Scheduler::quarantine_path(const std::string& key_string) const {
@@ -805,10 +706,7 @@ void Scheduler::persist_quarantine(const std::string& key_string,
   if (journal_dir_.empty()) return;
   // The campaign's journal is poison now: resuming it would crash a
   // worker on every daemon restart, so it dies with the quarantine.
-  const std::string jpath = journal_dir_ + "/" +
-                            hex64(campaign_key_hash(key_string)) +
-                            kJournalSuffix;
-  std::remove(jpath.c_str());
+  std::remove(journal_path(key_string).c_str());
   const std::string qpath = quarantine_path(key_string);
   std::FILE* file = std::fopen(qpath.c_str(), "w");
   if (file == nullptr) {
@@ -825,77 +723,42 @@ void Scheduler::persist_quarantine(const std::string& key_string,
 }
 
 void Scheduler::load_quarantine_markers() {
-#if defined(__unix__) || defined(__APPLE__)
   // Ctor-time only: single-threaded, no lock needed.
   if (journal_dir_.empty()) return;
-  const std::string suffix = kQuarantineSuffix;
-  std::vector<std::string> names;
-  if (DIR* dir = ::opendir(journal_dir_.c_str())) {
-    while (const dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      if (name.size() > suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0) {
-        names.push_back(name);
-      }
-    }
-    ::closedir(dir);
-  }
-  std::sort(names.begin(), names.end());
-  for (const std::string& name : names) {
+  for (const std::string& name :
+       list_files_with_suffix(journal_dir_, {kQuarantineSuffix})) {
     const std::string path = journal_dir_ + "/" + name;
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
+    const std::optional<std::string> text = read_file(path);
+    if (!text) {
       std::fprintf(stderr,
                    "megflood_serve: warning: skipping unreadable quarantine "
                    "marker %s\n",
                    path.c_str());
       continue;
     }
-    std::string text;
-    char buffer[512];
-    std::size_t got = 0;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-      text.append(buffer, got);
-    }
-    std::fclose(file);
-    const std::size_t first = text.find('\n');
+    const std::size_t first = text->find('\n');
     const std::size_t second =
         first == std::string::npos ? std::string::npos
-                                   : text.find('\n', first + 1);
+                                   : text->find('\n', first + 1);
     if (second == std::string::npos) continue;  // malformed: ignore
-    const std::string key_string = text.substr(0, first);
+    const std::string key_string = text->substr(0, first);
     QuarantineInfo info;
-    info.signal = text.substr(first + 1, second - first - 1);
-    info.crashes = std::strtoull(text.c_str() + second + 1, nullptr, 10);
+    info.signal = text->substr(first + 1, second - first - 1);
+    info.crashes = std::strtoull(text->c_str() + second + 1, nullptr, 10);
     if (key_string.empty() || info.signal.empty() || info.crashes == 0) {
       continue;
     }
     quarantined_[key_string] = info;
     campaign_crashes_[key_string] = info.crashes;
   }
-#endif
 }
 
 std::size_t Scheduler::recover_journals() {
-#if defined(__unix__) || defined(__APPLE__)
   if (journal_dir_.empty()) return 0;
-  const std::string suffix = kJournalSuffix;
-  std::vector<std::string> names;
-  if (DIR* dir = ::opendir(journal_dir_.c_str())) {
-    while (const dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      if (name.size() > suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0) {
-        names.push_back(name);
-      }
-    }
-    ::closedir(dir);
-  }
-  std::sort(names.begin(), names.end());  // deterministic recovery order
   std::size_t recovered = 0;
-  for (const std::string& name : names) {
+  // Sorted listing: deterministic recovery order.
+  for (const std::string& name :
+       list_files_with_suffix(journal_dir_, {kJournalSuffix})) {
     const std::string path = journal_dir_ + "/" + name;
     // An unreadable journal (permissions, races with an external cleaner)
     // must not abort recovery of the readable ones: warn and leave it.
@@ -973,9 +836,6 @@ std::size_t Scheduler::recover_journals() {
     work_cv_.notify_all();
   }
   return recovered;
-#else
-  return 0;
-#endif
 }
 
 StatsSnapshot Scheduler::stats() const {

@@ -30,17 +30,26 @@
 // orphaned journals on restart (recover_journals()) and completes the
 // interrupted campaigns bit-identical to an uninterrupted run.
 //
-// Process isolation (ISSUE 10): with `isolation = kProcess` each pool
+// One execution path: execute() runs the shared pre-checks (cancel,
+// cache re-check, quarantine), obtains a CampaignOutcome from
+// run_campaign() (serve/campaign_runner.hpp) — in-process, or from the
+// same function inside a worker subprocess — and maps it to reply, cache
+// and events in one tail.  Both modes report cumulative trial counts
+// (journal replays included) and credit_progress() adds only forward
+// progress, so `trial_done`/`completed` agree across modes.
+//
+// Process isolation: with `isolation = kProcess` each pool
 // thread supervises a WorkerProcess (serve/worker.hpp) instead of
 // running campaigns in-daemon.  The supervisor detects worker death via
 // waitpid, classifies it (signal / exit code / heartbeat timeout),
 // respawns the worker and re-dispatches the lost sub-job; a campaign
 // that kills `crash_limit` workers is quarantined — terminal `failed`
 // event, persistent `.mfq` marker beside its journal, never executed
-// again and never cached.  Because workers journal per-trial through the
-// same `.mfj` files, a re-dispatched sub-job resumes bit-identically,
-// and results stream back verbatim, so process mode is byte-identical to
-// thread mode (test_serve_worker proves both properties).
+// again and never cached.  Crash accounting, respawn and quarantine are
+// the only process-only logic; a re-dispatched sub-job resumes its
+// `.mfj` journal bit-identically, and results stream back verbatim, so
+// process mode is byte-identical to thread mode (test_serve_worker
+// proves both properties).
 
 #include <atomic>
 #include <condition_variable>
@@ -57,6 +66,7 @@
 #include "core/campaign.hpp"
 #include "core/scenario.hpp"
 #include "serve/cache.hpp"
+#include "serve/campaign_runner.hpp"
 #include "serve/protocol.hpp"
 
 namespace megflood {
@@ -216,16 +226,23 @@ class Scheduler {
   bool has_queued_work() const;
   void execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
                std::size_t slot);
-  // Process-mode tail of execute(): dispatch to the slot's worker,
+  // Process-mode campaign of execute(): dispatch to the slot's worker,
   // supervise, retry across crashes, quarantine past the limit.  Called
   // with mutex_ held; drops it around worker I/O.
-  void execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
-                         std::unique_lock<std::mutex>& lock,
-                         std::size_t slot);
+  CampaignOutcome execute_in_worker(const QueuedSubJob& item,
+                                    SubJobReply& reply,
+                                    std::uint64_t& credited,
+                                    std::unique_lock<std::mutex>& lock,
+                                    std::size_t slot);
+  // Forward-only trial accounting shared by both modes (see the .cpp).
+  void credit_progress(Job& job, std::uint64_t& credited,
+                       std::uint64_t cumulative);
   void worker_loop(std::size_t slot);
   std::uint64_t retry_after_ms() const;  // backoff hint from queue depth
-  std::string journal_path(const CampaignKey& key) const;  // lock-free
+  std::string journal_path(const std::string& key_string) const;  // lock-free
   std::string quarantine_path(const std::string& key_string) const;
+  static void mark_quarantined(SubJobReply& reply,
+                               const QuarantineInfo& info);
   // Persists a .mfq marker and drops the campaign's journal (best
   // effort, lock-free file I/O).
   void persist_quarantine(const std::string& key_string,

@@ -18,17 +18,15 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "core/checkpoint.hpp"
 #include "core/format.hpp"
 #include "core/scenario.hpp"
+#include "serve/campaign_runner.hpp"
 #include "serve/json.hpp"
 #include "util/fault_injection.hpp"
 
@@ -98,7 +96,8 @@ bool write_all_fd(int fd, const char* data, std::size_t size) {
 
 // Per-job rlimit budgets.  Soft limits only — the hard limits stay where
 // the operator put them — restored after the job so the worker runtime
-// itself (result serialization, the next journal) is never constrained.
+// between jobs (the result line, reading the next job) is never
+// constrained.
 struct RlimitGuard {
   RlimitGuard(std::uint64_t memory_mb, double deadline_s) {
 #if !defined(MEGFLOOD_WORKER_RLIMITS_OFF)
@@ -497,87 +496,36 @@ void worker_heartbeat_loop(WorkerState& state) {
 void worker_run_job(WorkerState& state, const WorkerJob& job,
                     FaultPlan* plan) {
   const std::string job_id = std::to_string(job.job);
-  std::string result_json;
-  std::string error;
-  bool interrupted = false;
-  bool deadline_hit = false;
+  RunOptions options;
+  options.journal_path = job.journal;
+  options.deadline_s = job.deadline_s;
+  options.cancel = &state.cancel_current;
+  options.attempt = job.attempt;
+  options.fault_plan = plan;
+  options.on_progress = [&](std::size_t done) {
+    state.write_line("{\"event\": \"trial\", \"job\": " + job_id +
+                     ", \"done\": " + std::to_string(done) + "}");
+  };
 
-  std::unique_ptr<CheckpointJournal> journal;
-  std::size_t replayed = 0;
-  std::optional<ScenarioResult> result;
-  ScenarioSpec spec;
+  CampaignOutcome outcome;
   try {
-    spec = parse_scenario_cli(job.cli);
+    ScenarioSpec spec = parse_scenario_cli(job.cli);
     spec.trial.threads = 1;
-    ScenarioSpec run_spec = spec;
-    if (job.deadline_s > 0.0) {
-      run_spec.trial.trial_deadline_s = job.deadline_s;
-    }
-
-    // Same journal fallback dance as the thread-mode scheduler: a
-    // mismatched header is replaced, journal I/O failure degrades to an
-    // unjournaled run.  On a crash the journal survives on disk — the
-    // supervisor re-dispatches and this code resumes it bit-for-bit.
-    if (!job.journal.empty()) {
-      const CheckpointKey ckey{campaign_key(spec), 1};
-      try {
-        journal = std::make_unique<CheckpointJournal>(job.journal, ckey);
-      } catch (const std::invalid_argument&) {
-        std::remove(job.journal.c_str());
-        try {
-          journal = std::make_unique<CheckpointJournal>(job.journal, ckey);
-        } catch (const std::exception&) {
-        }
-      } catch (const std::exception&) {
-      }
-      if (journal) replayed = journal->replayed_trials();
-    }
-
-    std::atomic<std::size_t> fresh{0};
-    MeasureHooks hooks;
-    hooks.cancel = &state.cancel_current;
-    hooks.checkpoint = journal.get();
-    if (plan != nullptr) {
-      const std::uint64_t attempt = job.attempt;
-      const FaultPlan* const sites = plan;
-      hooks.on_trial_start = [sites, attempt](std::size_t trial) {
-        sites->fire_trial_start(trial, attempt);
-      };
-    }
-    hooks.on_trial_recorded = [&](std::size_t trial) {
-      const std::size_t done = replayed + fresh.fetch_add(1) + 1;
-      state.write_line("{\"event\": \"trial\", \"job\": " + job_id +
-                       ", \"done\": " + std::to_string(done) + "}");
-      if (plan != nullptr) plan->fire_trial_recorded(trial);
-    };
-
     const RlimitGuard budgets(job.memory_mb, job.deadline_s);
-    result = run_scenario(run_spec, hooks);
-    interrupted = result->measurement.interrupted;
-  } catch (const TrialDeadlineExceeded& e) {
-    deadline_hit = true;
-    error = e.what();
+    outcome = run_campaign(spec, options);
   } catch (const std::exception& e) {
-    error = e.what();
-  }
-  if (result && !interrupted && error.empty()) {
-    // Serialize against the submitted spec (never the deadline-carrying
-    // copy) — identical to thread mode, so cache entries and the bytes
-    // spliced into `done` match across isolation modes.
-    result_json = result_json_object(spec, *result, result->warnings);
-  }
-  journal.reset();
-  if (!job.journal.empty() && error.empty() && !interrupted &&
-      !result_json.empty()) {
-    std::remove(job.journal.c_str());  // spent; crash paths keep it
+    outcome.error = e.what();
   }
 
   std::string line = "{\"event\": \"result\", \"job\": " + job_id;
-  line += std::string(", \"deadline\": ") + (deadline_hit ? "true" : "false");
+  line += std::string(", \"deadline\": ") +
+          (outcome.deadline ? "true" : "false");
   line += std::string(", \"interrupted\": ") +
-          (interrupted ? "true" : "false");
-  line += ", \"error\": " + json_quote(error);
-  if (!result_json.empty()) line += ", \"result\": " + result_json;
+          (outcome.interrupted ? "true" : "false");
+  line += ", \"error\": " + json_quote(outcome.error);
+  if (!outcome.result_json.empty()) {
+    line += ", \"result\": " + outcome.result_json;
+  }
   line += "}";
   state.write_line(line);
 }

@@ -23,7 +23,8 @@
 //   worker -> supervisor
 //     {"event": "trial", "job": N, "done": D}
 //         one durable trial; D counts replayed-from-journal plus fresh
-//         trials, so progress is cumulative across a crash/retry
+//         trials (RunOptions::on_progress), the same cumulative count
+//         thread mode reports
 //     {"event": "heartbeat"}
 //         emitted every ~500 ms by a side thread; its absence past the
 //         supervisor's timeout classifies a wedged worker
@@ -34,11 +35,14 @@
 //         which is what keeps process-mode results byte-identical to
 //         thread mode.  On failure the `result` key is absent.
 //
-// The worker opens the supervisor-provided `.mfj` journal itself, so a
-// crash leaves the journal on disk and the retried dispatch resumes
-// bit-for-bit — the PR 9 crash-recovery contract holds across worker
-// deaths.  `attempt` carries the campaign's prior crash count into the
-// fault plan so `once=1` sites fire only on the first dispatch.
+// A worker runs each job through run_campaign()
+// (serve/campaign_runner.hpp) — the same body thread mode runs — inside
+// its rlimit budgets, and the result line is the CampaignOutcome member
+// for member.  The runner opens the supervisor-provided `.mfj` journal,
+// so a crash leaves the journal on disk and the retried dispatch resumes
+// bit-for-bit — the crash-recovery contract holds across worker deaths.
+// `attempt` carries the campaign's prior crash count into the fault plan
+// so `once=1` sites fire only on the first dispatch.
 //
 // Every raw process-control primitive (socketpair/fork/execv/waitpid/
 // kill/setrlimit) lives in this translation unit; the megflood_lint

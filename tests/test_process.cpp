@@ -49,20 +49,6 @@ TEST(RunProcess, BadSourceThrows) {
   EXPECT_THROW((void)run_process(g, process, 9, 10, 1), std::out_of_range);
 }
 
-TEST(RunProcess, LegacyWrappersMatchProcessClasses) {
-  // The retained free functions are thin wrappers; same seeds must give
-  // the same trajectories and metrics as driving the class directly.
-  TwoStateEdgeMEG a(32, {0.2, 0.2}, 5);
-  TwoStateEdgeMEG b(32, {0.2, 0.2}, 5);
-  const GossipResult wrapper = gossip_flood(a, 0, GossipMode::kPushPull, 1000, 77);
-  GossipProcess process(GossipMode::kPushPull);
-  const ProcessResult direct = run_process(b, process, 0, 1000, 77);
-  EXPECT_EQ(wrapper.flood.rounds, direct.flood.rounds);
-  EXPECT_EQ(wrapper.flood.informed_counts, direct.flood.informed_counts);
-  EXPECT_EQ(static_cast<double>(wrapper.contacts),
-            direct.metrics.at("contacts"));
-}
-
 TEST(RunProcess, TtlDiesOutEarlyAndReportsIncomplete) {
   // 3 nodes; only the first snapshot has an edge.  With ttl = 1 the
   // relay budget expires after the first rounds and node 2 is never

@@ -17,6 +17,7 @@
 
 #include <sys/wait.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -26,6 +27,10 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.hpp"
+#include "core/checkpoint.hpp"
+#include "core/scenario.hpp"
+#include "core/trial.hpp"
 #include "serve/cache.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
@@ -235,23 +240,56 @@ TEST(ServeWorker, MalformedJobLinesAreRejectedWithAReason) {
 // Byte-identity: process mode must answer exactly like thread mode
 // ---------------------------------------------------------------------------
 
+// Leaves `dir` holding the journal a daemon killed after `trials_done`
+// durable trials of `args` would leave behind.
+void seed_partial_journal(const std::string& dir,
+                          const std::vector<std::string>& args,
+                          std::size_t trials_done) {
+  ScenarioSpec spec = parse_scenario_args(args);
+  spec.trial.threads = 1;
+  const CampaignKey key = campaign_key(spec);
+  CheckpointJournal journal(
+      dir + "/" + hex64(campaign_key_hash(key)) + ".mfj",
+      CheckpointKey{key, 1});
+  std::atomic<bool> cancel{false};
+  std::size_t recorded = 0;
+  MeasureHooks hooks;
+  hooks.cancel = &cancel;
+  hooks.checkpoint = &journal;
+  hooks.on_trial_recorded = [&](std::size_t) {
+    if (++recorded == trials_done) cancel.store(true);
+  };
+  ASSERT_TRUE(run_scenario(spec, hooks).measurement.interrupted);
+  ASSERT_EQ(journal.replayed_trials() + recorded, trials_done);
+}
+
 TEST(ServeWorker, ProcessModeEventStreamIsByteIdenticalToThreadMode) {
+  const std::vector<std::string> resume_args = {
+      "--model=fixed", "--n=16", "--trials=6", "--seed=3"};
   const std::vector<Request> requests = {
       submit_request("sweep",
                      {"--model=fixed", "--trials=2", "--seed=91"},
                      "n=16:48:16"),
       submit_request("single", quick_args(92, 3)),
+      // Resumes a journal pre-seeded with 2 of its 6 trials: progress is
+      // cumulative in both modes, so the job ends at completed == total.
+      submit_request("resume", resume_args),
   };
 
+  const std::string thread_dir = fresh_dir("identity_thread");
+  seed_partial_journal(thread_dir, resume_args, 2);
   ResultCache thread_cache;
   SchedulerConfig thread_config;
   thread_config.workers = 0;
+  thread_config.journal_dir = thread_dir;
   const std::vector<std::string> thread_events =
       run_to_completion(thread_config, &thread_cache, requests);
 
+  const std::string process_dir = fresh_dir("identity_process");
+  seed_partial_journal(process_dir, resume_args, 2);
   ResultCache process_cache;
-  const std::vector<std::string> process_events =
-      run_to_completion(process_config(), &process_cache, requests);
+  const std::vector<std::string> process_events = run_to_completion(
+      process_config("", process_dir), &process_cache, requests);
 
   // Full-stream equality: same events, same order, same bytes — the
   // worker's result object is spliced verbatim, never re-rendered.
@@ -262,6 +300,12 @@ TEST(ServeWorker, ProcessModeEventStreamIsByteIdenticalToThreadMode) {
 
   // And the caches agree entry-for-entry.
   EXPECT_EQ(process_cache.stats().entries, thread_cache.stats().entries);
+
+  for (const auto* events : {&thread_events, &process_events}) {
+    ASSERT_EQ(label(events->back()), "done:resume");
+    EXPECT_EQ(number_field(events->back(), "completed"), 6.0);
+    EXPECT_EQ(number_field(events->back(), "total"), 6.0);
+  }
 }
 
 TEST(ServeWorker, ProcessModeStatsReportWorkerRows) {
