@@ -133,6 +133,7 @@ bool LineClient::send_line(const std::string& line, int timeout_ms) {
         poller.fd = fd_;
         poller.events = POLLOUT;
         const int ready = ::poll(&poller, 1, timeout_ms);
+        if (ready < 0 && errno == EINTR) continue;
         if (ready <= 0) return false;  // timeout or poll error
         continue;
       }
@@ -169,6 +170,7 @@ std::optional<std::string> LineClient::recv_line(int timeout_ms,
       return std::nullopt;
     }
     if (ready < 0) {
+      if (errno == EINTR) continue;
       out(RecvStatus::kClosed);
       return std::nullopt;
     }

@@ -52,6 +52,9 @@ class LineClient {
                                  int timeout_ms = kDefaultTimeoutMs);
   static LineClient connect_tcp(std::uint16_t port,  // localhost
                                 int timeout_ms = kDefaultTimeoutMs);
+  // Takes ownership of an already-connected stream socket, e.g. one end
+  // of a socketpair.
+  static LineClient adopt(int fd) { return LineClient(fd); }
 
   bool connected() const noexcept { return fd_ >= 0; }
 

@@ -13,7 +13,6 @@
 #include "core/process.hpp"
 #include "core/sweep.hpp"
 #include "serve/campaign_runner.hpp"
-#include "serve/json.hpp"
 #include "serve/worker.hpp"
 
 namespace megflood::serve {
@@ -477,7 +476,6 @@ CampaignOutcome Scheduler::execute_in_worker(const QueuedSubJob& item,
   ++slot.jobs;
 
   WorkerJob wjob;
-  wjob.job = next_dispatch_++;
   // The canonical CLI from the campaign key carries the full identity
   // (scenario args + --seed + --trials); the worker re-derives the spec
   // from it, which is exactly the recover_journals() round-trip.
@@ -517,29 +515,20 @@ CampaignOutcome Scheduler::execute_in_worker(const QueuedSubJob& item,
       lock.unlock();
     }
 
-    WorkerDeath death;
-    bool died = false;
-    bool got_result = false;
-    if (!slot.process->send_line(worker_job_line(wjob))) {
-      death = slot.process->reap_after_close();
-      died = true;
-    }
+    std::optional<WorkerDeath> death;
+    if (!slot.process->send_job(wjob)) death = slot.process->reap_after_close();
     auto last_activity = Clock::now();
     bool cancel_sent = false;
-    while (!died && !got_result) {
+    while (!death) {
       if (!cancel_sent && job->cancel.load(std::memory_order_relaxed)) {
         cancel_sent = true;
-        slot.process->send_line("{\"op\": \"cancel\", \"job\": " +
-                                std::to_string(wjob.job) + "}");
+        slot.process->send_cancel();
       }
-      std::string line;
-      const auto status = slot.process->read_line(kWorkerPollMs, line);
-      if (status == WorkerProcess::ReadStatus::kClosed) {
+      WorkerEvent event;
+      const RecvStatus status = slot.process->next_event(kWorkerPollMs, event);
+      if (status == RecvStatus::kClosed) {
         death = slot.process->reap_after_close();
-        died = true;
-        break;
-      }
-      if (status == WorkerProcess::ReadStatus::kTimeout) {
+      } else if (status == RecvStatus::kTimeout) {
         const auto silent_ms =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 Clock::now() - last_activity)
@@ -548,55 +537,21 @@ CampaignOutcome Scheduler::execute_in_worker(const QueuedSubJob& item,
           // Wedged, not dead: no trial, heartbeat, or result line for the
           // whole window.  SIGKILL and classify as heartbeat_timeout.
           death = slot.process->kill_and_reap();
-          died = true;
-          break;
         }
-        continue;
-      }
-      last_activity = Clock::now();
-      std::string parse_error;
-      const auto event = parse_json(line, parse_error);
-      if (!event || !event->is_object()) continue;  // garbage line: skip
-      const JsonValue* kind = event->find("event");
-      if (!kind || !kind->is_string()) continue;
-      if (kind->string == "heartbeat") continue;
-      const JsonValue* jid = event->find("job");
-      if (!jid || !jid->is_number() ||
-          static_cast<std::uint64_t>(jid->number) != wjob.job) {
-        continue;  // stale line from an earlier, abandoned dispatch
-      }
-      if (kind->string == "trial") {
-        const JsonValue* done = event->find("done");
-        if (!done || !done->is_number()) continue;
-        std::lock_guard<std::mutex> relock(mutex_);
-        credit_progress(*job, credited,
-                        static_cast<std::uint64_t>(done->number));
-      } else if (kind->string == "result") {
-        // The wire line is CampaignOutcome, member for member.
-        const JsonValue* flag = event->find("deadline");
-        outcome.deadline = flag && flag->is_bool() && flag->boolean;
-        flag = event->find("interrupted");
-        outcome.interrupted = flag && flag->is_bool() && flag->boolean;
-        if (const JsonValue* err = event->find("error");
-            err != nullptr && err->is_string()) {
-          outcome.error = err->string;
+      } else if (event.kind == WorkerEvent::Kind::kResult) {
+        outcome = std::move(event.outcome);
+        break;
+      } else {
+        last_activity = Clock::now();
+        if (event.kind == WorkerEvent::Kind::kTrial) {
+          std::lock_guard<std::mutex> relock(mutex_);
+          credit_progress(*job, credited, event.done);
         }
-        // The result object is the line's final member; its bytes are
-        // spliced out verbatim so cache entries stay byte-identical to
-        // thread mode.  (The marker cannot appear earlier: `error` is the
-        // only free-form field before it and json_quote escapes quotes.)
-        const std::string marker = ", \"result\": ";
-        const std::size_t at = line.find(marker);
-        if (at != std::string::npos && line.size() > at + marker.size()) {
-          outcome.result_json = line.substr(
-              at + marker.size(), line.size() - at - marker.size() - 1);
-        }
-        got_result = true;
       }
     }
 
     lock.lock();
-    if (got_result) break;
+    if (!death) break;
 
     // Worker died (or wedged) mid-campaign: classify, charge the
     // campaign, and either retry on a fresh worker or quarantine.
@@ -606,12 +561,12 @@ CampaignOutcome Scheduler::execute_in_worker(const QueuedSubJob& item,
     std::fprintf(stderr,
                  "megflood_serve: worker died (%s) running %s "
                  "[crash %llu/%llu]\n",
-                 death.describe().c_str(), reply.key.c_str(),
+                 death->describe().c_str(), reply.key.c_str(),
                  static_cast<unsigned long long>(crashes),
                  static_cast<unsigned long long>(crash_limit_));
     if (crashes >= crash_limit_) {
       QuarantineInfo info;
-      info.signal = death.describe();
+      info.signal = death->describe();
       info.crashes = crashes;
       quarantined_[reply.key] = info;
       ++jobs_quarantined_;

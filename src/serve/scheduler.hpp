@@ -148,7 +148,9 @@ class Scheduler {
 
   // Manual mode: runs one queued sub-job on the calling thread.  Returns
   // false when no sub-job was queued.  Also usable with workers > 0 (the
-  // caller just becomes one more competing worker).
+  // caller just becomes one more competing worker).  In process mode
+  // every run_one() caller shares the trailing worker slot, so call it
+  // from one thread at a time: a worker holds one job at once.
   bool run_one();
 
   // Stops accepting submissions, cancels everything, resolves all queued
@@ -284,7 +286,6 @@ class Scheduler {
   std::map<std::string, QuarantineInfo> quarantined_;
   std::uint64_t worker_restarts_ = 0;
   std::uint64_t jobs_quarantined_ = 0;
-  std::uint64_t next_dispatch_ = 1;  // worker-protocol job ids
   std::vector<std::thread> workers_;
 };
 

@@ -1,13 +1,10 @@
 #include "serve/worker.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include <atomic>
 #include <cerrno>
@@ -17,16 +14,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/format.hpp"
 #include "core/scenario.hpp"
-#include "serve/campaign_runner.hpp"
 #include "serve/json.hpp"
 #include "util/fault_injection.hpp"
 
@@ -39,6 +33,10 @@ namespace {
 constexpr std::uint64_t kWorkerInjectSeed = 1;
 
 constexpr int kHeartbeatIntervalMs = 500;
+
+constexpr const char* kCancelLine = "{\"op\": \"cancel\"}";
+constexpr const char* kExitLine = "{\"op\": \"exit\"}";
+constexpr const char* kHeartbeatLine = "{\"event\": \"heartbeat\"}";
 
 // RLIMIT_AS starves ASan/TSan shadow memory long before it bounds the
 // campaign, so budgets are applied only in uninstrumented builds — the
@@ -58,12 +56,6 @@ std::string format_double(double value) {
   return buffer;
 }
 
-const JsonValue* find_field(const JsonValue& object, const char* name) {
-  return object.find(name);
-}
-
-#if defined(__unix__) || defined(__APPLE__)
-
 std::string signal_name(int signal) {
   switch (signal) {
     case SIGSEGV: return "SIGSEGV";
@@ -77,21 +69,6 @@ std::string signal_name(int signal) {
     case SIGXCPU: return "SIGXCPU";
     default: return "signal " + std::to_string(signal);
   }
-}
-
-// write() the whole line; EINTR-safe.  SIGPIPE is ignored process-wide in
-// worker mode, so a vanished supervisor is a false return, not a signal.
-bool write_all_fd(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t got = ::write(fd, data + sent, size - sent);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(got);
-  }
-  return true;
 }
 
 // Per-job rlimit budgets.  Soft limits only — the hard limits stay where
@@ -151,13 +128,75 @@ struct RlimitGuard {
 #endif
 };
 
-#endif  // unix
+// The string member `name` of a JSON line, "" when absent.
+std::string string_member(const std::string& line, const char* name) {
+  std::string error;
+  const auto parsed = parse_json(line, error);
+  if (!parsed || !parsed->is_object()) return "";
+  const JsonValue* field = parsed->find(name);
+  return field != nullptr && field->is_string() ? field->string : "";
+}
+
+std::string trial_line(std::size_t done) {
+  return "{\"event\": \"trial\", \"done\": " + std::to_string(done) + "}";
+}
+
+std::string result_line(const CampaignOutcome& outcome) {
+  std::string line = "{\"event\": \"result\"";
+  line += std::string(", \"deadline\": ") +
+          (outcome.deadline ? "true" : "false");
+  line += std::string(", \"interrupted\": ") +
+          (outcome.interrupted ? "true" : "false");
+  line += ", \"error\": " + json_quote(outcome.error);
+  if (!outcome.result_json.empty()) {
+    line += ", \"result\": " + outcome.result_json;
+  }
+  line += "}";
+  return line;
+}
+
+// The inverse of trial_line and result_line.
+WorkerEvent parse_worker_event(const std::string& line) {
+  WorkerEvent event;
+  std::string error;
+  const auto parsed = parse_json(line, error);
+  if (!parsed || !parsed->is_object()) return event;
+  const JsonValue* kind = parsed->find("event");
+  if (kind == nullptr || !kind->is_string()) return event;
+  if (kind->string == "trial") {
+    const JsonValue* done = parsed->find("done");
+    if (done == nullptr || !done->is_number()) return event;
+    event.kind = WorkerEvent::Kind::kTrial;
+    event.done = static_cast<std::uint64_t>(done->number);
+  } else if (kind->string == "result") {
+    event.kind = WorkerEvent::Kind::kResult;
+    CampaignOutcome& outcome = event.outcome;
+    const JsonValue* flag = parsed->find("deadline");
+    outcome.deadline = flag && flag->is_bool() && flag->boolean;
+    flag = parsed->find("interrupted");
+    outcome.interrupted = flag && flag->is_bool() && flag->boolean;
+    if (const JsonValue* err = parsed->find("error");
+        err != nullptr && err->is_string()) {
+      outcome.error = err->string;
+    }
+    // The result object is the line's final member; its bytes are
+    // spliced out verbatim so cache entries stay byte-identical to
+    // thread mode.  (The marker cannot appear earlier: `error` is the
+    // only free-form field before it and json_quote escapes quotes.)
+    const std::string marker = ", \"result\": ";
+    const std::size_t at = line.find(marker);
+    if (at != std::string::npos && line.size() > at + marker.size()) {
+      outcome.result_json = line.substr(
+          at + marker.size(), line.size() - at - marker.size() - 1);
+    }
+  }
+  return event;
+}
 
 }  // namespace
 
 std::string worker_job_line(const WorkerJob& job) {
-  std::string line = "{\"op\": \"job\", \"job\": " + std::to_string(job.job);
-  line += ", \"cli\": " + json_quote(job.cli);
+  std::string line = "{\"op\": \"job\", \"cli\": " + json_quote(job.cli);
   line += ", \"journal\": " + json_quote(job.journal);
   line += ", \"deadline_s\": " + format_double(job.deadline_s);
   line += ", \"memory_mb\": " + std::to_string(job.memory_mb);
@@ -173,34 +212,31 @@ bool parse_worker_job_line(const std::string& line, WorkerJob& out,
     if (error.empty()) error = "job line is not a JSON object";
     return false;
   }
-  const JsonValue* op = find_field(*parsed, "op");
+  const JsonValue* op = parsed->find("op");
   if (op == nullptr || !op->is_string() || op->string != "job") {
     error = "job line has no op=job";
     return false;
   }
-  const JsonValue* job = find_field(*parsed, "job");
-  const JsonValue* cli = find_field(*parsed, "cli");
-  if (job == nullptr || !job->is_number() || cli == nullptr ||
-      !cli->is_string() || cli->string.empty()) {
-    error = "job line needs numeric 'job' and non-empty string 'cli'";
+  const JsonValue* cli = parsed->find("cli");
+  if (cli == nullptr || !cli->is_string() || cli->string.empty()) {
+    error = "job line needs a non-empty string 'cli'";
     return false;
   }
   out = WorkerJob{};
-  out.job = static_cast<std::uint64_t>(job->number);
   out.cli = cli->string;
-  if (const JsonValue* journal = find_field(*parsed, "journal");
+  if (const JsonValue* journal = parsed->find("journal");
       journal != nullptr && journal->is_string()) {
     out.journal = journal->string;
   }
-  if (const JsonValue* deadline = find_field(*parsed, "deadline_s");
+  if (const JsonValue* deadline = parsed->find("deadline_s");
       deadline != nullptr && deadline->is_number() && deadline->number > 0) {
     out.deadline_s = deadline->number;
   }
-  if (const JsonValue* memory = find_field(*parsed, "memory_mb");
+  if (const JsonValue* memory = parsed->find("memory_mb");
       memory != nullptr && memory->is_number() && memory->number > 0) {
     out.memory_mb = static_cast<std::uint64_t>(memory->number);
   }
-  if (const JsonValue* attempt = find_field(*parsed, "attempt");
+  if (const JsonValue* attempt = parsed->find("attempt");
       attempt != nullptr && attempt->is_number() && attempt->number > 0) {
     out.attempt = static_cast<std::uint64_t>(attempt->number);
   }
@@ -210,11 +246,7 @@ bool parse_worker_job_line(const std::string& line, WorkerJob& out,
 std::string WorkerDeath::describe() const {
   switch (kind) {
     case Kind::kSignal:
-#if defined(__unix__) || defined(__APPLE__)
       return signal_name(code);
-#else
-      return "signal " + std::to_string(code);
-#endif
     case Kind::kExit:
       return "exit(" + std::to_string(code) + ")";
     case Kind::kHeartbeat:
@@ -223,20 +255,10 @@ std::string WorkerDeath::describe() const {
   return "unknown";
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-
 WorkerProcess::WorkerProcess(std::string binary, std::string inject_spec)
     : binary_(std::move(binary)), inject_spec_(std::move(inject_spec)) {}
 
 WorkerProcess::~WorkerProcess() { shutdown(); }
-
-void WorkerProcess::close_fd() noexcept {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  buffer_.clear();
-}
 
 bool WorkerProcess::spawn(std::string& error) {
   if (alive()) {
@@ -244,17 +266,13 @@ bool WorkerProcess::spawn(std::string& error) {
     return false;
   }
   int fds[2];
-#if defined(SOCK_CLOEXEC)
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
-#else
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-#endif
     error = std::string("socketpair: ") + std::strerror(errno);
     return false;
   }
   // Everything the child needs is prepared before fork: the daemon is
   // multithreaded, so the child may only make async-signal-safe calls
-  // (dup2/close/execv/_exit) between fork and exec.
+  // (dup2/close_range/close/execv/_exit) between fork and exec.
   std::string inject_arg;
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>(binary_.c_str()));
@@ -264,6 +282,7 @@ bool WorkerProcess::spawn(std::string& error) {
     argv.push_back(const_cast<char*>(inject_arg.c_str()));
   }
   argv.push_back(nullptr);
+  const long open_max = ::sysconf(_SC_OPEN_MAX);
 
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -275,67 +294,41 @@ bool WorkerProcess::spawn(std::string& error) {
   if (pid == 0) {
     // Child: the socketpair becomes stdin/stdout (dup2 clears CLOEXEC on
     // the copies); every other inherited descriptor — client sockets,
-    // the listener, sibling workers' pipes — is closed so a worker can
+    // the listener, sibling workers' sockets — is closed so a worker can
     // never hold a connection open past the daemon's intent.
     ::dup2(fds[1], 0);
     ::dup2(fds[1], 1);
-    for (int fd = 3; fd < 1024; ++fd) ::close(fd);
+    if (::close_range(3, ~0U, 0) != 0) {
+      for (long fd = 3; fd < open_max; ++fd) ::close(static_cast<int>(fd));
+    }
     ::execv(binary_.c_str(), argv.data());
     _exit(127);
   }
   ::close(fds[1]);
-  fd_ = fds[0];
+  channel_ = LineClient::adopt(fds[0]);
   pid_ = pid;
-  buffer_.clear();
   return true;
 }
 
-bool WorkerProcess::send_line(const std::string& line) {
-  if (fd_ < 0) return false;
-  std::string framed = line;
-  framed += '\n';
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t got = ::send(fd_, framed.data() + sent,
-                               framed.size() - sent, MSG_NOSIGNAL);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(got);
-  }
-  return true;
+bool WorkerProcess::send_job(const WorkerJob& job) {
+  return channel_.send_line(worker_job_line(job), -1);
 }
 
-WorkerProcess::ReadStatus WorkerProcess::read_line(int timeout_ms,
-                                                   std::string& out) {
-  if (fd_ < 0) return ReadStatus::kClosed;
-  while (true) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      out = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return ReadStatus::kLine;
-    }
-    pollfd poller{};
-    poller.fd = fd_;
-    poller.events = POLLIN;
-    const int ready = ::poll(&poller, 1, timeout_ms);
-    if (ready == 0) return ReadStatus::kTimeout;
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return ReadStatus::kClosed;
-    }
-    char chunk[4096];
-    const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) return ReadStatus::kClosed;  // EOF: the worker is gone
-    buffer_.append(chunk, static_cast<std::size_t>(got));
+void WorkerProcess::send_cancel() { channel_.send_line(kCancelLine, -1); }
+
+RecvStatus WorkerProcess::next_event(int timeout_ms, WorkerEvent& event) {
+  RecvStatus status = RecvStatus::kClosed;
+  if (const auto line = channel_.recv_line(timeout_ms, &status)) {
+    event = parse_worker_event(*line);
   }
+  return status;
 }
 
 WorkerDeath WorkerProcess::reap_after_close() {
   WorkerDeath death;
+  // Close first: a worker that is somehow still alive sees EOF and
+  // exits, so the wait below cannot hang.
+  channel_.close();
   if (pid_ <= 0) return death;
   int status = 0;
   while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
@@ -348,7 +341,6 @@ WorkerDeath WorkerProcess::reap_after_close() {
     death.code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
   pid_ = -1;
-  close_fd();
   return death;
 }
 
@@ -362,13 +354,13 @@ WorkerDeath WorkerProcess::kill_and_reap() {
 
 void WorkerProcess::shutdown() {
   if (pid_ <= 0) {
-    close_fd();
+    channel_.close();
     return;
   }
-  send_line("{\"op\": \"exit\"}");
-  close_fd();  // EOF is the second, unmissable shutdown signal
+  channel_.send_line(kExitLine, -1);
+  channel_.close();  // EOF is the second, unmissable shutdown signal
   // Bounded grace: a worker mid-trial finishes its write and exits on
-  // the closed pipe; one that doesn't within ~2 s is not coming back.
+  // the closed socket; one that doesn't within ~2 s is not coming back.
   for (int waited_ms = 0; waited_ms < 2000; waited_ms += 20) {
     int status = 0;
     const pid_t got = ::waitpid(pid_, &status, WNOHANG);
@@ -404,110 +396,74 @@ std::string self_executable_path(const char* argv0) {
 
 namespace {
 
-// Shared state between the job loop, the reader thread, and the
-// heartbeat thread of one worker process.
+// State shared by the worker's main thread and its heartbeat thread.
+// Both send, so sends take `send_mutex`; only the main thread receives.
 struct WorkerState {
-  int out_fd = 1;
-  std::mutex write_mutex;
+  explicit WorkerState(int fd) : channel(LineClient::adopt(fd)) {}
 
-  std::mutex queue_mutex;
-  std::condition_variable queue_cv;
-  std::deque<WorkerJob> pending;
-  std::set<std::uint64_t> cancelled_ids;
-  std::uint64_t current_job = 0;
-  bool have_current = false;
-  bool stop = false;
+  LineClient channel;
+  std::mutex send_mutex;
 
-  std::atomic<bool> cancel_current{false};
+  std::mutex stop_mutex;
+  std::condition_variable stop_cv;
+  bool stop = false;  // guarded by stop_mutex: ends the heartbeat
 
-  bool write_line(const std::string& line) {
-    std::lock_guard<std::mutex> lock(write_mutex);
-    std::string framed = line;
-    framed += '\n';
-    return write_all_fd(out_fd, framed.data(), framed.size());
+  // Main thread only.
+  std::atomic<bool> cancel{false};  // stops the running job between trials
+  bool exiting = false;             // an exit line or EOF arrived
+
+  bool send(const std::string& line) {
+    std::lock_guard<std::mutex> lock(send_mutex);
+    return channel.send_line(line, -1);
   }
 };
 
-void worker_reader_loop(int in_fd, WorkerState& state) {
-  std::string buffer;
-  char chunk[4096];
-  bool eof = false;
-  while (!eof) {
-    const ssize_t got = ::read(in_fd, chunk, sizeof(chunk));
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) {
-      eof = true;
-    } else {
-      buffer.append(chunk, static_cast<std::size_t>(got));
+// Drains the lines that arrived during the running job, without
+// blocking.  A cancel, an exit or EOF stops the job after its current
+// trial; an exit or EOF also ends the worker once the result is sent.
+void check_control(WorkerState& state) {
+  RecvStatus status = RecvStatus::kTimeout;
+  while (!state.exiting) {
+    const auto line = state.channel.recv_line(0, &status);
+    if (!line) {
+      state.exiting = status == RecvStatus::kClosed;
+      break;
     }
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      std::string error;
-      const auto parsed = parse_json(line, error);
-      if (!parsed || !parsed->is_object()) continue;
-      const JsonValue* op = parsed->find("op");
-      if (op == nullptr || !op->is_string()) continue;
-      if (op->string == "exit") {
-        eof = true;
-        break;
-      }
-      if (op->string == "cancel") {
-        const JsonValue* job = parsed->find("job");
-        if (job == nullptr || !job->is_number()) continue;
-        const auto id = static_cast<std::uint64_t>(job->number);
-        std::lock_guard<std::mutex> lock(state.queue_mutex);
-        if (state.have_current && state.current_job == id) {
-          state.cancel_current.store(true, std::memory_order_relaxed);
-        } else {
-          state.cancelled_ids.insert(id);
-        }
-        continue;
-      }
-      WorkerJob job;
-      if (parse_worker_job_line(line, job, error)) {
-        std::lock_guard<std::mutex> lock(state.queue_mutex);
-        state.pending.push_back(std::move(job));
-        state.queue_cv.notify_all();
-      }
-    }
+    const std::string op = string_member(*line, "op");
+    if (op == "cancel") state.cancel.store(true, std::memory_order_relaxed);
+    if (op == "exit") state.exiting = true;
   }
-  // Supervisor gone (or explicit exit): stop after the current trial.
-  std::lock_guard<std::mutex> lock(state.queue_mutex);
-  state.stop = true;
-  state.cancel_current.store(true, std::memory_order_relaxed);
-  state.queue_cv.notify_all();
+  if (state.exiting) state.cancel.store(true, std::memory_order_relaxed);
 }
 
 void worker_heartbeat_loop(WorkerState& state) {
-  std::unique_lock<std::mutex> lock(state.queue_mutex);
-  while (!state.stop) {
-    state.queue_cv.wait_for(
-        lock, std::chrono::milliseconds(kHeartbeatIntervalMs));
-    if (state.stop) return;
+  std::unique_lock<std::mutex> lock(state.stop_mutex);
+  while (!state.stop_cv.wait_for(
+      lock, std::chrono::milliseconds(kHeartbeatIntervalMs),
+      [&] { return state.stop; })) {
     lock.unlock();
-    const bool ok = state.write_line("{\"event\": \"heartbeat\"}");
+    const bool sent = state.send(kHeartbeatLine);
     lock.lock();
-    if (!ok) return;  // supervisor gone; the reader sees EOF and stops us
+    if (!sent) return;  // supervisor gone; the main thread sees EOF
   }
 }
 
 void worker_run_job(WorkerState& state, const WorkerJob& job,
                     FaultPlan* plan) {
-  const std::string job_id = std::to_string(job.job);
+  state.cancel.store(false, std::memory_order_relaxed);
   RunOptions options;
   options.journal_path = job.journal;
   options.deadline_s = job.deadline_s;
-  options.cancel = &state.cancel_current;
+  options.cancel = &state.cancel;
   options.attempt = job.attempt;
   options.fault_plan = plan;
-  options.on_progress = [&](std::size_t done) {
-    state.write_line("{\"event\": \"trial\", \"job\": " + job_id +
-                     ", \"done\": " + std::to_string(done) + "}");
+  options.on_progress = [&state](std::size_t done) {
+    state.send(trial_line(done));
+    check_control(state);
   };
 
   CampaignOutcome outcome;
+  check_control(state);
   try {
     ScenarioSpec spec = parse_scenario_cli(job.cli);
     spec.trial.threads = 1;
@@ -516,89 +472,41 @@ void worker_run_job(WorkerState& state, const WorkerJob& job,
   } catch (const std::exception& e) {
     outcome.error = e.what();
   }
-
-  std::string line = "{\"event\": \"result\", \"job\": " + job_id;
-  line += std::string(", \"deadline\": ") +
-          (outcome.deadline ? "true" : "false");
-  line += std::string(", \"interrupted\": ") +
-          (outcome.interrupted ? "true" : "false");
-  line += ", \"error\": " + json_quote(outcome.error);
-  if (!outcome.result_json.empty()) {
-    line += ", \"result\": " + outcome.result_json;
-  }
-  line += "}";
-  state.write_line(line);
+  state.send(result_line(outcome));
 }
 
 }  // namespace
 
-int run_worker_main(int in_fd, int out_fd, const std::string& inject_spec) {
-  std::signal(SIGPIPE, SIG_IGN);
+int run_worker_main(int fd, const std::string& inject_spec) {
   FaultPlan plan;
   if (!inject_spec.empty()) {
     plan = FaultPlan::parse(inject_spec, kWorkerInjectSeed);
   }
+  // Socket sends pass MSG_NOSIGNAL; this covers a closed stderr pipe.
+  std::signal(SIGPIPE, SIG_IGN);
 
-  WorkerState state;
-  state.out_fd = out_fd;
-  std::thread reader([&] { worker_reader_loop(in_fd, state); });
-  std::thread heartbeat([&] { worker_heartbeat_loop(state); });
-
-  while (true) {
+  WorkerState state(fd);
+  std::thread heartbeat([&state] { worker_heartbeat_loop(state); });
+  // Between jobs the main thread blocks on the next line.  A cancel read
+  // here is a leftover for a job that already sent its result.
+  while (!state.exiting) {
+    const auto line = state.channel.recv_line(-1);
+    if (!line) break;  // EOF: the supervisor is gone
     WorkerJob job;
-    {
-      std::unique_lock<std::mutex> lock(state.queue_mutex);
-      state.queue_cv.wait(
-          lock, [&] { return state.stop || !state.pending.empty(); });
-      if (state.pending.empty()) break;  // stop requested, queue drained
-      job = std::move(state.pending.front());
-      state.pending.pop_front();
-      state.current_job = job.job;
-      state.have_current = true;
-      const bool pre_cancelled =
-          state.cancelled_ids.erase(job.job) > 0 || state.stop;
-      state.cancel_current.store(pre_cancelled, std::memory_order_relaxed);
+    std::string error;
+    if (parse_worker_job_line(*line, job, error)) {
+      worker_run_job(state, job, plan.empty() ? nullptr : &plan);
+    } else if (string_member(*line, "op") == "exit") {
+      break;
     }
-    worker_run_job(state, job, plan.empty() ? nullptr : &plan);
-    std::lock_guard<std::mutex> lock(state.queue_mutex);
-    state.have_current = false;
   }
-
   {
-    std::lock_guard<std::mutex> lock(state.queue_mutex);
+    std::lock_guard<std::mutex> lock(state.stop_mutex);
     state.stop = true;
-    state.queue_cv.notify_all();
   }
-  // The reader blocks in read() until the supervisor closes the pipe;
-  // since the loop above only exits after the reader saw EOF/exit, the
-  // join is immediate in practice.
-  if (reader.joinable()) reader.join();
-  if (heartbeat.joinable()) heartbeat.join();
+  state.stop_cv.notify_all();
+  heartbeat.join();
   return 0;
 }
-
-#else  // non-unix stubs: process isolation is a unix feature
-
-WorkerProcess::WorkerProcess(std::string binary, std::string inject_spec)
-    : binary_(std::move(binary)), inject_spec_(std::move(inject_spec)) {}
-WorkerProcess::~WorkerProcess() = default;
-void WorkerProcess::close_fd() noexcept {}
-bool WorkerProcess::spawn(std::string& error) {
-  error = "process isolation requires a unix platform";
-  return false;
-}
-bool WorkerProcess::send_line(const std::string&) { return false; }
-WorkerProcess::ReadStatus WorkerProcess::read_line(int, std::string&) {
-  return ReadStatus::kClosed;
-}
-WorkerDeath WorkerProcess::reap_after_close() { return {}; }
-WorkerDeath WorkerProcess::kill_and_reap() { return {}; }
-void WorkerProcess::shutdown() {}
-std::string self_executable_path(const char* argv0) {
-  return argv0 != nullptr ? argv0 : "";
-}
-int run_worker_main(int, int, const std::string&) { return 2; }
-
-#endif
 
 }  // namespace megflood::serve

@@ -11,29 +11,41 @@
 // exit code vs heartbeat timeout); the daemon and every other client's
 // work survive.
 //
-// Wire protocol (one JSON object per line, both directions):
+// Wire protocol (one JSON object per line, both directions, framed by
+// serve/client.hpp's LineClient on each end).  A worker holds at most one
+// job: the supervisor sends a job line and then only reads, until that
+// job's result line or the worker's death.  A dead worker is replaced by
+// a new process on a new socketpair, so no line ever outlives its job and
+// no line carries a job id.
 //
 //   supervisor -> worker
-//     {"op": "job", "job": N, "cli": "<canonical scenario CLI>",
+//     {"op": "job", "cli": "<canonical scenario CLI>",
 //      "journal": "<path or empty>", "deadline_s": D, "memory_mb": M,
 //      "attempt": A}
-//     {"op": "cancel", "job": N}        cooperative cancel
+//     {"op": "cancel"}                  cooperative cancel of the job
 //     {"op": "exit"}                    graceful shutdown (EOF works too)
 //
 //   worker -> supervisor
-//     {"event": "trial", "job": N, "done": D}
+//     {"event": "trial", "done": D}
 //         one durable trial; D counts replayed-from-journal plus fresh
 //         trials (RunOptions::on_progress), the same cumulative count
 //         thread mode reports
 //     {"event": "heartbeat"}
-//         emitted every ~500 ms by a side thread; its absence past the
-//         supervisor's timeout classifies a wedged worker
-//     {"event": "result", "job": N, "deadline": B, "interrupted": B,
+//         emitted every ~500 ms by the heartbeat thread; its absence past
+//         the supervisor's timeout classifies a wedged worker
+//     {"event": "result", "deadline": B, "interrupted": B,
 //      "error": "...", "result": {...}}
 //         terminal.  On success `error` is "" and `result` carries the
 //         campaign's result object *verbatim* (spliced, never re-parsed),
 //         which is what keeps process-mode results byte-identical to
 //         thread mode.  On failure the `result` key is absent.
+//
+// The worker has two threads.  The main thread blocks on the next job
+// line, runs the job, and sends its trial and result lines; during a job
+// it checks the socket without blocking before the campaign starts and
+// after every recorded trial, so a cancel, an exit or EOF stops the job
+// between trials — where the campaign reads its cancel flag anyway.  The
+// heartbeat thread only sends.
 //
 // A worker runs each job through run_campaign()
 // (serve/campaign_runner.hpp) — the same body thread mode runs — inside
@@ -53,11 +65,13 @@
 #include <cstdint>
 #include <string>
 
+#include "serve/campaign_runner.hpp"
+#include "serve/client.hpp"
+
 namespace megflood::serve {
 
 // One dispatched sub-job, as carried by the "job" line.
 struct WorkerJob {
-  std::uint64_t job = 0;      // supervisor-side dispatch id
   std::string cli;            // canonical scenario CLI (scenario_to_cli)
   std::string journal;        // .mfj path, empty = unjournaled
   double deadline_s = 0.0;    // cooperative per-trial watchdog, 0 = off
@@ -68,6 +82,15 @@ struct WorkerJob {
 std::string worker_job_line(const WorkerJob& job);
 bool parse_worker_job_line(const std::string& line, WorkerJob& out,
                            std::string& error);
+
+// One worker -> supervisor line.  Heartbeats, and lines that do not
+// parse, read as kHeartbeat: all they prove is that the worker is alive.
+struct WorkerEvent {
+  enum class Kind { kHeartbeat, kTrial, kResult };
+  Kind kind = Kind::kHeartbeat;
+  std::uint64_t done = 0;   // kTrial: cumulative durable trials
+  CampaignOutcome outcome;  // kResult
+};
 
 // How a worker process ended, classified from waitpid (or from the
 // supervisor's own heartbeat watchdog).
@@ -100,13 +123,17 @@ class WorkerProcess {
   bool alive() const noexcept { return pid_ > 0; }
   pid_t pid() const noexcept { return pid_; }
 
-  // False when the worker is gone (EPIPE and friends).
-  bool send_line(const std::string& line);
+  // Sends block until the worker takes the line.  A failed send means
+  // the worker is gone: send_job returns false, and a lost cancel
+  // surfaces as kClosed on the next read.
+  bool send_job(const WorkerJob& job);
+  void send_cancel();
+  // The worker's next line: kLine fills `event`; kTimeout means nothing
+  // arrived within timeout_ms; kClosed means the worker is gone.
+  RecvStatus next_event(int timeout_ms, WorkerEvent& event);
 
-  enum class ReadStatus { kLine, kTimeout, kClosed };
-  ReadStatus read_line(int timeout_ms, std::string& out);
-
-  // Classification after read_line returned kClosed: reap via waitpid.
+  // Classification after a closed channel or failed send: reap via
+  // waitpid.
   WorkerDeath reap_after_close();
   // Heartbeat-timeout path: SIGKILL, reap, classify as kHeartbeat.
   WorkerDeath kill_and_reap();
@@ -115,22 +142,18 @@ class WorkerProcess {
   void shutdown();
 
  private:
-  void close_fd() noexcept;
-
   std::string binary_;
   std::string inject_spec_;
   pid_t pid_ = -1;
-  int fd_ = -1;
-  std::string buffer_;
+  LineClient channel_;
 };
 
-// The `--worker` mode body: consumes job lines on `in_fd`, emits
-// trial/heartbeat/result lines on `out_fd`, runs until EOF or an "exit"
-// line.  Returns the process exit code.  `inject_spec` arms the worker's
-// own FaultPlan (seeded like the daemon's, so thread- and process-mode
-// injections match); a malformed spec throws std::invalid_argument for
-// the tool's config-error exit.
-int run_worker_main(int in_fd, int out_fd, const std::string& inject_spec);
+// The `--worker` mode body: serves the protocol above on the connected
+// socket `fd` until EOF or an "exit" line.  Returns the process exit
+// code.  `inject_spec` arms the worker's own FaultPlan (seeded like the
+// daemon's, so thread- and process-mode injections match); a malformed
+// spec throws std::invalid_argument for the tool's config-error exit.
+int run_worker_main(int fd, const std::string& inject_spec);
 
 // Resolves the running executable (/proc/self/exe when available,
 // `argv0` otherwise) — what the daemon self-execs as `--worker`.

@@ -15,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -25,6 +29,7 @@
 #include <filesystem>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -185,7 +190,6 @@ std::vector<std::string> run_to_completion(SchedulerConfig config,
 
 TEST(ServeWorker, JobLineRoundTrips) {
   WorkerJob job;
-  job.job = 42;
   job.cli = "--model=fixed --n=16 --trials=3 --seed=7";
   job.journal = "/tmp/cache/deadbeef.mfj";
   job.deadline_s = 1.5;
@@ -196,7 +200,6 @@ TEST(ServeWorker, JobLineRoundTrips) {
   std::string error;
   ASSERT_TRUE(parse_worker_job_line(worker_job_line(job), back, error))
       << error;
-  EXPECT_EQ(back.job, 42u);
   EXPECT_EQ(back.cli, job.cli);
   EXPECT_EQ(back.journal, job.journal);
   EXPECT_DOUBLE_EQ(back.deadline_s, 1.5);
@@ -206,7 +209,6 @@ TEST(ServeWorker, JobLineRoundTrips) {
 
 TEST(ServeWorker, JobLineDefaultsSurviveTheWire) {
   WorkerJob job;
-  job.job = 1;
   job.cli = "--model=fixed --n=16 --trials=1 --seed=1";
 
   WorkerJob back;
@@ -226,7 +228,6 @@ TEST(ServeWorker, MalformedJobLinesAreRejectedWithAReason) {
            "[1, 2, 3]",
            "{\"op\": \"cancel\", \"job\": 3}",
            "{\"job\": 3, \"cli\": \"--model=fixed\"}",
-           "{\"op\": \"job\", \"cli\": \"--model=fixed\"}",
            "{\"op\": \"job\", \"job\": 3}",
            "{\"op\": \"job\", \"job\": 3, \"cli\": \"\"}",
        }) {
@@ -522,6 +523,94 @@ TEST(ServeWorker, DeadlineFiresInsideTheWorker) {
   EXPECT_LT(number_field(events.back(), "completed"), 8.0);
   EXPECT_EQ(scheduler.stats().worker_restarts, 0u);
   EXPECT_EQ(scheduler.stats().deadline_exceeded, 1u);
+}
+
+// A worker whose heartbeat stops — here frozen by SIGSTOP mid-trial — is
+// wedged, not dead: only the supervisor's watchdog can end it, and the
+// death is classified as heartbeat_timeout.
+TEST(ServeWorker, StoppedWorkerIsClassifiedAsHeartbeatTimeout) {
+  EventLog log;
+  ResultCache cache;
+  SchedulerConfig config = process_config("slow:trial=0,ms=20000");
+  config.workers = 1;
+  config.heartbeat_timeout_ms = 1000;
+  config.crash_limit = 1;
+  Scheduler scheduler(config, &cache);
+  const std::uint64_t client = scheduler.register_client(
+      [&log](const std::string& line) { log.push(line); });
+
+  scheduler.submit(client, submit_request("h", quick_args(101)));
+  std::uint64_t pid = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (pid == 0 && std::chrono::steady_clock::now() < give_up) {
+    for (const WorkerSlotStats& slot : scheduler.stats().workers) {
+      if (slot.busy && slot.pid != 0) pid = slot.pid;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_NE(pid, 0u);
+  ASSERT_EQ(::kill(static_cast<pid_t>(pid), SIGSTOP), 0);
+
+  ASSERT_TRUE(log.wait_for_label("failed:h", 30000));
+  const std::string terminal = log.snapshot().back();
+  EXPECT_EQ(label(terminal), "failed:h");
+  EXPECT_EQ(string_field(terminal, "signal"), "heartbeat_timeout") << terminal;
+  EXPECT_EQ(number_field(terminal, "crashes"), 1.0);
+  EXPECT_EQ(scheduler.stats().worker_restarts, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Descriptor hygiene: a worker holds its socket and stdio, nothing else
+// of the daemon's, however high the descriptor number
+// ---------------------------------------------------------------------------
+
+TEST(ServeWorker, SpawnedWorkerInheritsNoHighDescriptor) {
+  constexpr int kHighFd = 1500;
+  rlimit files{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &files), 0);
+  const rlimit saved = files;
+  if (files.rlim_cur <= static_cast<rlim_t>(kHighFd)) {
+    if (files.rlim_max != RLIM_INFINITY &&
+        files.rlim_max <= static_cast<rlim_t>(kHighFd)) {
+      GTEST_SKIP() << "RLIMIT_NOFILE hard limit " << files.rlim_max
+                   << " is too low for descriptor " << kHighFd;
+    }
+    files.rlim_cur = kHighFd + 1;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &files), 0);
+  }
+
+  // A daemon-side socket without CLOEXEC, like an accepted client
+  // connection, parked on a high descriptor.
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  ASSERT_EQ(::dup2(pair[0], kHighFd), kHighFd);
+
+  WorkerProcess worker(MEGFLOOD_SERVE_PATH, "");
+  std::string error;
+  ASSERT_TRUE(worker.spawn(error)) << error;
+  const std::string proc = "/proc/" + std::to_string(worker.pid());
+  // Once /proc/<pid>/exe names the daemon binary the child has exec'd,
+  // so its descriptor table is final.
+  bool execed = false;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!execed && std::chrono::steady_clock::now() < give_up) {
+    std::error_code ec;
+    execed = std::filesystem::equivalent(proc + "/exe", MEGFLOOD_SERVE_PATH,
+                                         ec);
+    if (!execed) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(execed);
+  std::error_code ec;
+  EXPECT_FALSE(std::filesystem::exists(
+      proc + "/fd/" + std::to_string(kHighFd), ec));
+
+  worker.shutdown();
+  ::close(kHighFd);
+  ::close(pair[0]);
+  ::close(pair[1]);
+  ::setrlimit(RLIMIT_NOFILE, &saved);
 }
 
 // ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
 
 int main(int argc, char** argv) {
   // Worker mode: this same binary, self-execed by the daemon's
-  // supervisor, speaking the serve/worker.hpp protocol on fds 0/1.
+  // supervisor, speaking the serve/worker.hpp protocol on the socket it
+  // finds on stdin.
   // Recognized before anything else so a worker never binds sockets or
   // installs the daemon's handlers — the supervisor owns its lifecycle
   // (a terminal Ctrl-C must drain through the daemon, not tear workers
@@ -96,7 +97,7 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, SIG_IGN);
     std::signal(SIGTERM, SIG_IGN);
     try {
-      return megflood::serve::run_worker_main(0, 1, inject);
+      return megflood::serve::run_worker_main(0, inject);
     } catch (const std::exception& e) {
       std::cerr << "megflood_serve: bad --inject: " << e.what() << "\n"
                 << megflood::fault_inject_grammar() << "\n";
