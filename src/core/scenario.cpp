@@ -24,6 +24,7 @@
 #include "protocols/k_push.hpp"
 #include "protocols/radio_broadcast.hpp"
 #include "protocols/ttl_flooding.hpp"
+#include "util/parse_number.hpp"
 
 namespace megflood {
 
@@ -34,19 +35,10 @@ namespace {
 }
 
 double parse_double(const std::string& key, const std::string& value) {
-  std::size_t pos = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    fail("parameter " + key + ": '" + value + "' is not a number");
-  }
-  if (pos != value.size() || !std::isfinite(parsed)) {
-    // Rejecting non-finite values here keeps every downstream range check
-    // sound (NaN compares false against any bound).
-    fail("parameter " + key + ": '" + value + "' is not a finite number");
-  }
-  return parsed;
+  // Rejecting non-finite values here keeps every downstream range check
+  // sound (NaN compares false against any bound).
+  if (const auto parsed = parse_double_strict(value)) return *parsed;
+  fail("parameter " + key + ": '" + value + "' is not a finite number");
 }
 
 MegStorage parse_storage(const std::string& value) {
@@ -57,19 +49,8 @@ MegStorage parse_storage(const std::string& value) {
 }
 
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  std::size_t pos = 0;
-  unsigned long long parsed = 0;
-  try {
-    parsed = std::stoull(value, &pos);
-  } catch (const std::exception&) {
-    fail("parameter " + key + ": '" + value +
-         "' is not a non-negative integer");
-  }
-  if (pos != value.size() || (!value.empty() && value[0] == '-')) {
-    fail("parameter " + key + ": '" + value +
-         "' is not a non-negative integer");
-  }
-  return parsed;
+  if (const auto parsed = parse_u64_strict(value)) return *parsed;
+  fail("parameter " + key + ": '" + value + "' is not a non-negative integer");
 }
 
 // Resolves a model's parameter map against its declared schema: every

@@ -1,28 +1,19 @@
 #include "core/sweep.hpp"
 
-#include <cmath>
 #include <set>
 #include <stdexcept>
 
 #include "core/format.hpp"
+#include "util/parse_number.hpp"
 
 namespace megflood {
 
 namespace {
 
 double parse_sweep_number(const std::string& what, const std::string& text) {
-  std::size_t pos = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(text, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
-  }
-  if (pos != text.size() || !std::isfinite(parsed)) {
-    throw std::invalid_argument("sweep " + what + ": '" + text +
-                                "' is not a finite number");
-  }
-  return parsed;
+  if (const auto parsed = parse_double_strict(text)) return *parsed;
+  throw std::invalid_argument("sweep " + what + ": '" + text +
+                              "' is not a finite number");
 }
 
 }  // namespace

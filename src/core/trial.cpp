@@ -258,34 +258,10 @@ Measurement measure(const GraphFactory& graph_factory,
   return merge_slots(slots, resumed);
 }
 
-Measurement measure_reusing(DynamicGraph& graph,
-                            const ProcessFactory& process_factory,
-                            const TrialConfig& config) {
-  check_config(config);
-  const auto graph_seeds = derive_seeds(config.seed, config.trials);
-  const auto process_seeds =
-      derive_seeds(config.seed ^ kProcessSeedSalt, config.trials);
-  const std::unique_ptr<SpreadingProcess> process = process_factory();
-  std::vector<Slot> slots(config.trials);
-  for (std::size_t trial = 0; trial < config.trials; ++trial) {
-    graph.reset(graph_seeds[trial]);
-    slots[trial].out = run_one(graph, *process, trial, process_seeds[trial],
-                               config, trial_deadline(config));
-    slots[trial].state = SlotState::kDone;
-  }
-  return merge_slots(slots, 0);
-}
-
 FloodingMeasurement measure_flooding(const GraphFactory& factory,
                                      const TrialConfig& config) {
   return measure(
       factory, [] { return std::make_unique<FloodingProcess>(); }, config);
-}
-
-FloodingMeasurement measure_flooding_reusing(DynamicGraph& graph,
-                                             const TrialConfig& config) {
-  return measure_reusing(
-      graph, [] { return std::make_unique<FloodingProcess>(); }, config);
 }
 
 }  // namespace megflood

@@ -46,8 +46,7 @@ struct TrialConfig {
   // trial is a pure function of its derive_seeds() entries and its index,
   // and per-trial outcomes are merged in trial order, so the measurement
   // is bit-identical for every thread count.  0 = one worker per
-  // hardware thread.  measure_reusing shares one graph and always runs
-  // sequentially.
+  // hardware thread.
   std::size_t threads = 1;
   // Error containment: when true, a trial that throws (model construction,
   // the process, a fault-injection site, the watchdog) is recorded as a
@@ -173,17 +172,8 @@ Measurement measure(const GraphFactory& graph_factory,
                     const TrialConfig& config,
                     const MeasureHooks& hooks = {});
 
-// Same but reusing one graph instance via reset() — cheaper when model
-// construction is expensive (e.g. precomputed hop balls).  Always
-// sequential (the trials share the graph); config.threads is ignored.
-Measurement measure_reusing(DynamicGraph& graph,
-                            const ProcessFactory& process_factory,
-                            const TrialConfig& config);
-
 // Flooding-specialized wrappers (the historical API).
 FloodingMeasurement measure_flooding(const GraphFactory& factory,
                                      const TrialConfig& config);
-FloodingMeasurement measure_flooding_reusing(DynamicGraph& graph,
-                                             const TrialConfig& config);
 
 }  // namespace megflood

@@ -9,23 +9,25 @@
 // geometric skipping — so sparse regimes (p = c/n^2 .. c/n) scale to
 // thousands of nodes.
 //
-// The on-edge set is a sorted vector of packed (i, j) keys maintained
-// incrementally — deaths are filtered in place, births merged in — so a
-// step performs no hashing, no re-sort, and (after warmup) no allocation;
-// the triangular-index inversion runs only for the few birth candidates.
+// The on-edge set is the snapshot's edge buffer itself — canonical
+// (i, j) pairs in ascending order — updated per step by one sorted merge
+// of the deaths and births (meg/on_set.hpp), so a step performs no
+// hashing, no re-sort, and (after warmup) no allocation; the
+// triangular-index inversion runs only for the few birth candidates.
 //
 // In the storage-mode taxonomy of meg/storage.hpp this engine is
 // *always* sparse: the two-state chain needs no per-pair hidden state,
 // so the on-set is the entire representation (memory O(#on)) and the
-// off majority has been implicit since PR 1.  The general and
-// heterogeneous engines gained the same property via their
-// minority-state maps; there is no dense mode to select here.
+// off majority is implicit.  The general and heterogeneous engines gain
+// the same property via their minority-state maps; there is no dense
+// mode to select here.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/dynamic_graph.hpp"
 #include "markov/two_state.hpp"
+#include "meg/on_set.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
@@ -54,20 +56,18 @@ class TwoStateEdgeMEG final : public DynamicGraph {
 
  private:
   void initialize();
-  void rebuild_snapshot();
 
   std::size_t n_;
   TwoStateChain chain_;
   EdgeMegInit init_;
   Rng rng_;
   std::uint64_t total_pairs_;
-  // On-edges as packed (i << 32) | j keys, i < j, sorted ascending — the
-  // same order as the linear pair index (row-major), so the RNG
-  // consumption sequence matches the historical sorted-set iteration.
-  std::vector<std::uint64_t> on_;
-  std::vector<std::uint64_t> killed_;  // step scratch, sorted
-  std::vector<std::uint64_t> born_;    // step scratch, sorted
-  std::vector<std::uint64_t> merged_;  // step scratch
+  // Step scratch: packed keys (meg/pair_index.hpp), both ascending — the
+  // death walk visits the on-set in order and births arrive in linear
+  // pair-index order, which is packed-key order.
+  std::vector<std::uint64_t> killed_;
+  std::vector<std::uint64_t> born_;
+  OnSet next_edges_;  // the next on-set, swapped into the snapshot
   Snapshot snapshot_;
 };
 

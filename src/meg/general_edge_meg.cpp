@@ -118,7 +118,7 @@ void GeneralEdgeMEG::initialize() {
     return;
   }
   for (auto& bucket : buckets_) bucket.clear();
-  on_.clear();
+  next_edges_.clear();
   const bool scattered = sample_initial_states();
   if (scattered && !chi_[init_majority_]) {
     // The scatter path knows exactly which (few) pairs are non-majority,
@@ -136,20 +136,19 @@ void GeneralEdgeMEG::initialize() {
       buckets_[s].reserve(per_state[s]);
       if (chi_[s]) on_count += per_state[s];
     }
-    on_.reserve(on_count);
+    next_edges_.reserve(on_count);
     // Ascending pair order, so every bucket and the on-set come out
     // sorted without a sort pass.
     std::size_t e = 0;
     for (NodeId i = 0; i + 1 < n_; ++i) {
       for (NodeId j = i + 1; j < n_; ++j, ++e) {
         const StateId s = states_[e];
-        const std::uint64_t key = pack_pair(i, j);
-        buckets_[s].push_back(key);
-        if (chi_[s]) on_.push_back(key);
+        buckets_[s].push_back(pack_pair(i, j));
+        if (chi_[s]) next_edges_.emplace_back(i, j);
       }
     }
   }
-  rebuild_snapshot();
+  snapshot_.swap_edges(next_edges_);
 }
 
 void GeneralEdgeMEG::fill_buckets_from_scatter() {
@@ -177,7 +176,9 @@ void GeneralEdgeMEG::fill_buckets_from_scatter() {
       for (; p < stop; ++p) *out++ = key0 + p;
       const StateId s = states_[row_start + stop];
       buckets_[s].push_back(key0 + stop);
-      if (chi_[s]) on_.push_back(key0 + stop);
+      if (chi_[s]) {
+        next_edges_.emplace_back(i, static_cast<NodeId>(i + 1 + stop));
+      }
       p = stop + 1;
       ++mp;
     }
@@ -284,7 +285,7 @@ void GeneralEdgeMEG::initialize_sparse() {
   // RNG stream to the dense batched path (splits, shuffle, subset draw),
   // so a same-seed dense/sparse pair starts in the SAME configuration —
   // the t = 0 equivalence in tests/test_sparse_storage.cpp is exact.
-  on_.clear();
+  next_edges_.clear();
   minority_keys_.clear();
   minority_states_.clear();
   const std::uint64_t pairs = pair_count(n_);
@@ -298,13 +299,13 @@ void GeneralEdgeMEG::initialize_sparse() {
     for (std::uint64_t k = 0; k < minority; ++k) {
       // Ascending positions => ascending keys: map and on-set come out
       // sorted without a sort pass.
-      const std::uint64_t key = pair_key_from_index(n_, init_positions_[k]);
-      minority_keys_.push_back(key);
+      const auto [i, j] = pair_from_index(n_, init_positions_[k]);
+      minority_keys_.push_back(pack_pair(i, j));
       minority_states_.push_back(init_values_[k]);
-      if (chi_[init_values_[k]]) on_.push_back(key);
+      if (chi_[init_values_[k]]) next_edges_.emplace_back(i, j);
     }
   }
-  rebuild_snapshot();
+  snapshot_.swap_edges(next_edges_);
 }
 
 void GeneralEdgeMEG::sample_initial_states_per_pair() {
@@ -314,13 +315,6 @@ void GeneralEdgeMEG::sample_initial_states_per_pair() {
   for (auto& state : states_) {
     state = static_cast<std::uint8_t>(
         DenseChain::sample_from(stationary_, rng_));
-  }
-}
-
-void GeneralEdgeMEG::rebuild_snapshot() {
-  snapshot_.clear();
-  for (std::uint64_t key : on_) {
-    snapshot_.add_edge(pair_key_i(key), pair_key_j(key));
   }
 }
 
@@ -339,7 +333,10 @@ void GeneralEdgeMEG::step() {
   } else {
     step_dense();
   }
-  rebuild_snapshot();
+  // Movers arrive in bucket / minority-map order, not key order.
+  std::sort(died_.begin(), died_.end());
+  std::sort(born_.begin(), born_.end());
+  merge_on_set(snapshot_, died_, born_, next_edges_);
   advance_clock();
 }
 
@@ -403,7 +400,6 @@ void GeneralEdgeMEG::step_sparse() {
   apply_minority_delta(minority_keys_, minority_states_, removed_pos_,
                        inserted_keys_, inserted_states_, key_scratch_,
                        state_scratch_);
-  apply_on_set_delta(on_, died_, born_, merged_);
 }
 
 void GeneralEdgeMEG::step_dense() {
@@ -439,8 +435,6 @@ void GeneralEdgeMEG::step_dense() {
       (chi_[it->from] ? died_ : born_).push_back(key);
     }
   }
-
-  apply_on_set_delta(on_, died_, born_, merged_);
 }
 
 void GeneralEdgeMEG::reset(std::uint64_t seed) {

@@ -10,15 +10,16 @@
 // state, and each step touches only the pairs that actually transition —
 // per state class s, geometric skipping over the bucket with the class's
 // exit probability 1 - P(s, s) selects the movers, whose new states are
-// then drawn from the conditional exit distribution.  The on-set is a
-// sorted vector of packed (i, j) keys maintained incrementally (like
-// TwoStateEdgeMEG), so a step costs O(|S| + transitions + |E_t|) instead
-// of the historical O(n^2) per-pair resampling.  Initialization is
-// batched the same way: per-class counts are drawn as sequential binomial
-// splits of the multinomial Mult(pairs, pi) and scattered uniformly, so
-// the stationary start costs O(minority pairs) RNG draws when one class
-// dominates (the historical per-pair walk is retained as the dense-law
-// fallback and as the test reference).
+// then drawn from the conditional exit distribution.  The on-set is the
+// snapshot edge buffer itself, updated by one sorted merge of the step's
+// on/off flips (meg/on_set.hpp, like TwoStateEdgeMEG), so a step costs
+// O(|S| + transitions + |E_t|) instead of the historical O(n^2) per-pair
+// resampling.  Initialization is batched the same way: per-class counts
+// are drawn as sequential binomial splits of the multinomial
+// Mult(pairs, pi) and scattered uniformly, so the stationary start costs
+// O(minority pairs) RNG draws when one class dominates (the historical
+// per-pair walk is retained as the dense-law fallback and as the test
+// reference).
 //
 // Storage modes (meg/storage.hpp).  The *dense* engine keeps one state
 // byte plus one bucket key per pair — O(n^2) bytes, the reference
@@ -44,6 +45,7 @@
 
 #include "core/dynamic_graph.hpp"
 #include "markov/chain.hpp"
+#include "meg/on_set.hpp"
 #include "meg/storage.hpp"
 #include "util/rng.hpp"
 
@@ -107,7 +109,6 @@ class GeneralEdgeMEG final : public DynamicGraph {
       std::uint64_t minority);
   void step_dense();
   void step_sparse();
-  void rebuild_snapshot();
   StateId sample_exit_target(StateId from);
 
   std::size_t n_;
@@ -130,9 +131,6 @@ class GeneralEdgeMEG final : public DynamicGraph {
   // but is a pure function of the seed, so runs stay reproducible.
   std::vector<std::vector<std::uint64_t>> buckets_;
 
-  // Sorted packed keys of the pairs whose state maps to "edge exists".
-  std::vector<std::uint64_t> on_;
-
   // Sparse mode: the minority-state map — sorted packed keys of the
   // pairs NOT in the majority state, with a parallel per-entry state
   // byte.  Every other pair is implicitly in majority_state_.
@@ -149,9 +147,9 @@ class GeneralEdgeMEG final : public DynamicGraph {
     StateId to;
   };
   std::vector<Move> moves_;
-  std::vector<std::uint64_t> died_;
+  std::vector<std::uint64_t> died_;  // packed keys of this step's flips
   std::vector<std::uint64_t> born_;
-  std::vector<std::uint64_t> merged_;
+  OnSet next_edges_;  // the next on-set, swapped into the snapshot
   // Sparse-step scratch: dropped minority positions, majority-mover
   // insertions, subset ranks, and the minority-map merge buffers.
   std::vector<std::uint64_t> removed_pos_;

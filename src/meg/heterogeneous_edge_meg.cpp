@@ -20,7 +20,8 @@ HeterogeneousEdgeMEG::HeterogeneousEdgeMEG(std::size_t num_nodes,
 
 std::uint64_t HeterogeneousEdgeMEG::dense_footprint_bytes(
     std::size_t num_nodes) noexcept {
-  // Per pair: (p, q) rates (16 B), class id, on/off byte, bucket key (8 B).
+  // Per pair: (p, q) rates (16 B), class id, bucket key (8 B), and one on
+  // byte the engine no longer stores, kept so kAuto resolves as before.
   return pair_count(num_nodes) * 26;
 }
 
@@ -116,7 +117,6 @@ HeterogeneousEdgeMEG::HeterogeneousEdgeMEG(std::size_t num_nodes,
     }
   }
 
-  on_.resize(pairs, 0);
   snapshot_.reset(n_);
   initialize();
 }
@@ -165,11 +165,8 @@ bool HeterogeneousEdgeMEG::edge_on(NodeId i, NodeId j) const {
     throw std::out_of_range("edge_on: bad pair");
   }
   if (i > j) std::swap(i, j);
-  if (sparse_) {
-    return std::binary_search(on_keys_.begin(), on_keys_.end(),
-                              pack_pair(i, j));
-  }
-  return on_[pair_index(i, j)] != 0;
+  const auto& on = snapshot_.edge_buffer();
+  return std::binary_search(on.begin(), on.end(), std::make_pair(i, j));
 }
 
 void HeterogeneousEdgeMEG::initialize_sparse() {
@@ -178,7 +175,7 @@ void HeterogeneousEdgeMEG::initialize_sparse() {
   // candidate slots, uniformly placed, each thinned by
   // alpha_e / max_alpha — by superposition exactly iid Bernoulli(alpha_e)
   // per pair, in O(#on) memory and O(alpha_max * pairs) RNG draws.
-  on_keys_.clear();
+  next_edges_.clear();
   const std::uint64_t pairs = pair_count(n_);
   const std::uint64_t candidates = rng_.binomial(pairs, bounds_.max_alpha);
   sample_distinct_positions(rng_, candidates, pairs, pos_scratch_);
@@ -186,10 +183,10 @@ void HeterogeneousEdgeMEG::initialize_sparse() {
     const TwoStateParams r = derive_rates(pos);
     const double alpha = r.birth_rate / (r.birth_rate + r.death_rate);
     if (alpha >= bounds_.max_alpha || rng_.bernoulli(alpha / bounds_.max_alpha)) {
-      on_keys_.push_back(pair_key_from_index(n_, pos));  // ascending
+      next_edges_.push_back(pair_from_index(n_, pos));  // ascending
     }
   }
-  rebuild_snapshot();
+  snapshot_.swap_edges(next_edges_);
 }
 
 void HeterogeneousEdgeMEG::initialize() {
@@ -201,7 +198,7 @@ void HeterogeneousEdgeMEG::initialize() {
     cls.off.clear();
     cls.on.clear();
   }
-  on_keys_.clear();
+  next_edges_.clear();
   // Same per-pair stationary draws (and RNG stream) as the historical
   // initializer, so initial states match the reference sampler exactly.
   std::size_t e = 0;
@@ -210,21 +207,12 @@ void HeterogeneousEdgeMEG::initialize() {
       const auto& r = rates_[e];
       const bool on =
           rng_.bernoulli(r.birth_rate / (r.birth_rate + r.death_rate));
-      on_[e] = on ? 1 : 0;
-      const std::uint64_t key = pack_pair(i, j);
       auto& cls = classes_[class_of_[e]];
-      (on ? cls.on : cls.off).push_back(key);
-      if (on) on_keys_.push_back(key);  // ascending e => sorted
+      (on ? cls.on : cls.off).push_back(pack_pair(i, j));
+      if (on) next_edges_.emplace_back(i, j);  // ascending e => sorted
     }
   }
-  rebuild_snapshot();
-}
-
-void HeterogeneousEdgeMEG::rebuild_snapshot() {
-  snapshot_.clear();
-  for (std::uint64_t key : on_keys_) {
-    snapshot_.add_edge(pair_key_i(key), pair_key_j(key));
-  }
+  snapshot_.swap_edges(next_edges_);
 }
 
 void HeterogeneousEdgeMEG::step() {
@@ -233,7 +221,10 @@ void HeterogeneousEdgeMEG::step() {
   } else {
     step_dense();
   }
-  rebuild_snapshot();
+  // Dense flips arrive in bucket order, not key order.
+  std::sort(died_.begin(), died_.end());
+  std::sort(born_.begin(), born_.end());
+  merge_on_set(snapshot_, died_, born_, next_edges_);
   advance_clock();
 }
 
@@ -244,20 +235,21 @@ void HeterogeneousEdgeMEG::step_sparse() {
   // population (complement of the on-set) at max_birth, thinned by
   // p_e / max_birth.  Both exact by superposition, both against the
   // pre-step on-set, so no edge flips twice in a step.
+  const OnSet& on = snapshot_.edge_buffer();
   died_.clear();
   born_.clear();
-  geometric_select(rng_, on_keys_.size(), bounds_.max_death,
+  geometric_select(rng_, on.size(), bounds_.max_death,
                    [&](std::uint64_t pos) {
-                     const std::uint64_t key = on_keys_[pos];
+                     const auto [i, j] = on[pos];
                      const TwoStateParams r =
-                         derive_rates(pair_index_from_key(n_, key));
+                         derive_rates(pair_index_of(n_, i, j));
                      if (r.death_rate >= bounds_.max_death ||
                          rng_.bernoulli(r.death_rate / bounds_.max_death)) {
-                       died_.push_back(key);
+                       died_.push_back(pack_pair(i, j));
                      }
                    });
   bernoulli_complement_select(
-      rng_, n_, on_keys_, bounds_.max_birth, rank_scratch_,
+      rng_, n_, on, bounds_.max_birth, rank_scratch_,
       [&](std::uint64_t key) {
         const TwoStateParams r = derive_rates(pair_index_from_key(n_, key));
         if (r.birth_rate >= bounds_.max_birth ||
@@ -265,7 +257,6 @@ void HeterogeneousEdgeMEG::step_sparse() {
           born_.push_back(key);
         }
       });
-  apply_on_set_delta(on_keys_, died_, born_, merged_);
 }
 
 void HeterogeneousEdgeMEG::step_dense() {
@@ -314,7 +305,6 @@ void HeterogeneousEdgeMEG::step_dense() {
     cls.on[it->pos] = cls.on.back();
     cls.on.pop_back();
     cls.off.push_back(key);
-    on_[pair_index_from_key(n_, key)] = 0;
     died_.push_back(key);
   }
   for (auto it = births_.rbegin(); it != births_.rend(); ++it) {
@@ -323,11 +313,8 @@ void HeterogeneousEdgeMEG::step_dense() {
     cls.off[it->pos] = cls.off.back();
     cls.off.pop_back();
     cls.on.push_back(key);
-    on_[pair_index_from_key(n_, key)] = 1;
     born_.push_back(key);
   }
-
-  apply_on_set_delta(on_keys_, died_, born_, merged_);
 }
 
 void HeterogeneousEdgeMEG::reset(std::uint64_t seed) {

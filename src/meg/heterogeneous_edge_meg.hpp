@@ -20,9 +20,13 @@
 // acceptance draw p_e / p_max (exact by superposition), which keeps the
 // step output-sensitive as long as max/mean rates are comparable.
 //
+// In both storage modes the on-set is the snapshot edge buffer itself —
+// canonical pairs in ascending order, updated per step by one sorted
+// merge of the step's deaths and births (meg/on_set.hpp).
+//
 // Storage modes (meg/storage.hpp).  The *dense* engine above stores the
-// per-pair rates, rate-class ids and on/off bytes — O(n^2) memory, the
-// reference implementation.  The *sparse* engine stores only the sorted
+// per-pair rates, rate-class ids and on/off bucket keys — O(n^2) memory,
+// the reference implementation.  The *sparse* engine stores only the
 // on-set: per-pair rates are re-derived on demand from a counter-based
 // per-pair RNG (each pair's stream seed is the pair-index entry of the
 // construction seed's SplitMix64 stream, so rates stay a pure function
@@ -43,6 +47,7 @@
 
 #include "core/dynamic_graph.hpp"
 #include "markov/two_state.hpp"
+#include "meg/on_set.hpp"
 #include "meg/storage.hpp"
 #include "util/rng.hpp"
 
@@ -97,17 +102,15 @@ class HeterogeneousEdgeMEG final : public DynamicGraph {
     return sparse_ ? MegStorage::kSparse : MegStorage::kDense;
   }
 
-  // Dense-mode footprint: rates (16 B) + class id + on byte + one bucket
-  // key (8 B) per pair.  What kAuto weighs against the threshold.
+  // Dense-mode footprint: 26 bytes per pair (rates, class id, bucket key
+  // and one historical on byte).  What kAuto weighs against the threshold.
   static std::uint64_t dense_footprint_bytes(std::size_t num_nodes) noexcept;
 
   // O(1) dense; sparse re-derives from the pair's counter-based stream.
   TwoStateParams edge_rates(NodeId i, NodeId j) const;
 
-  // Current on/off state of pair {i, j} (i != j); O(1) dense,
-  // O(log #on) sparse.  The equivalence suite uses this to cross-check
-  // the incrementally maintained snapshot against a brute-force
-  // recomputation.
+  // Current on/off state of pair {i, j} (i != j): a binary search of the
+  // snapshot's sorted edge buffer, O(log #on) in both modes.
   bool edge_on(NodeId i, NodeId j) const;
 
   // Number of rate classes the skip engine uses: the count of distinct
@@ -134,7 +137,6 @@ class HeterogeneousEdgeMEG final : public DynamicGraph {
   void initialize_sparse();
   void step_dense();
   void step_sparse();
-  void rebuild_snapshot();
   // Sparse: the pair's rates, re-derived from its counter-based stream
   // (pure function of the construction seed and the pair index).
   TwoStateParams derive_rates(std::uint64_t pair_idx) const;
@@ -144,7 +146,6 @@ class HeterogeneousEdgeMEG final : public DynamicGraph {
   std::vector<TwoStateParams> rates_;   // dense: row-major upper triangle
   std::vector<std::uint8_t> class_of_;  // dense: rate-class id per pair
   std::vector<RateClass> classes_;
-  std::vector<char> on_;                // dense: per-pair on/off state
   double min_alpha_ = 1.0;
   double max_alpha_ = 0.0;
   std::size_t max_mixing_ = 0;
@@ -155,9 +156,6 @@ class HeterogeneousEdgeMEG final : public DynamicGraph {
   EdgeRateSampler sampler_;       // retained for on-demand derivation
   std::uint64_t rate_seed_ = 0;
 
-  // Sorted packed keys of the current edge set.
-  std::vector<std::uint64_t> on_keys_;
-
   // Step scratch (capacity reused across steps).
   struct Flip {
     std::uint32_t cls;
@@ -165,9 +163,9 @@ class HeterogeneousEdgeMEG final : public DynamicGraph {
   };
   std::vector<Flip> deaths_;
   std::vector<Flip> births_;
-  std::vector<std::uint64_t> died_;
+  std::vector<std::uint64_t> died_;  // packed keys of this step's flips
   std::vector<std::uint64_t> born_;
-  std::vector<std::uint64_t> merged_;
+  OnSet next_edges_;  // the next on-set, swapped into the snapshot
   std::vector<std::uint64_t> rank_scratch_;  // sparse subset draws
   std::vector<std::uint64_t> pos_scratch_;
 

@@ -1,9 +1,12 @@
 #pragma once
 
-// Shared incremental maintenance of a sorted on-edge set (packed pair
-// keys, see meg/pair_index.hpp) for the geometric-skip edge-MEG engines:
-// per step only the flipped edges are known, and the set is updated with
-// one merge pass instead of an O(n^2) rebuild.
+// Shared incremental maintenance of an edge-MEG on-set for the
+// geometric-skip engines.  The on-set *is* the snapshot edge buffer:
+// canonical (i < j) node pairs in ascending order, which is also packed
+// key order and linear pair-index order (meg/pair_index.hpp).  Per step
+// only the flipped edges are known, as sorted packed keys, and one merge
+// pass writes the next buffer — no O(n^2) rebuild and no second copy of
+// E_t.
 //
 // Also the shared machinery of the *sparse* storage mode (minority-state
 // maps): batched subset sampling over an implicit complement population
@@ -14,38 +17,78 @@
 #include <cassert>
 #include <cstdint>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "core/snapshot.hpp"
 #include "meg/pair_index.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
 
-// Applies on := (on \ died) ∪ born in a single linear pass.
-// Preconditions: `on` is sorted; every key in `died` is present in `on`;
-// no key in `born` is present in `on`.  `died` and `born` may arrive in
-// any order (they are sorted in place); `scratch` is reused capacity.
-inline void apply_on_set_delta(std::vector<std::uint64_t>& on,
-                               std::vector<std::uint64_t>& died,
-                               std::vector<std::uint64_t>& born,
-                               std::vector<std::uint64_t>& scratch) {
+using OnSet = std::vector<std::pair<NodeId, NodeId>>;
+
+// Linear pair index of an entry of a sorted pair population: a packed
+// key (minority maps) or a canonical edge (on-sets).
+inline std::uint64_t entry_pair_index(std::uint64_t n,
+                                      std::uint64_t key) noexcept {
+  return pair_index_from_key(n, key);
+}
+
+inline std::uint64_t entry_pair_index(
+    std::uint64_t n, const std::pair<NodeId, NodeId>& edge) noexcept {
+  return pair_index_of(n, edge.first, edge.second);
+}
+
+// Replaces the snapshot's on-set by (on \ died) ∪ born in one linear pass
+// into `scratch`, which is then swapped in (and receives the old buffer's
+// capacity for the next step).  `died` and `born` are sorted packed keys
+// with died ⊆ on and died ∩ born = ∅; a born key that is already on is
+// kept once (TwoStateEdgeMEG's birth marks may land on surviving edges).
+// With no flips the snapshot is left untouched.  Deaths are dropped
+// without a branch: whether an edge died is as unpredictable as the coin
+// that killed it.
+inline void merge_on_set(Snapshot& snapshot,
+                         const std::vector<std::uint64_t>& died,
+                         const std::vector<std::uint64_t>& born,
+                         OnSet& scratch) {
   if (died.empty() && born.empty()) return;
-  std::sort(died.begin(), died.end());
-  std::sort(born.begin(), born.end());
-  scratch.clear();
-  scratch.reserve(on.size() - died.size() + born.size());
+  // No pair (i < j) packs to this key, so it ends both delta streams.
+  constexpr std::uint64_t kEnd = ~std::uint64_t{0};
+  const OnSet& on = snapshot.edge_buffer();
+  // The output fits in on - died + born slots, plus one: a dead edge is
+  // written one past the survivors before `out` skips over it.  Growing
+  // by reallocation would copy stale edges into the new buffer while a
+  // third one is alive; start it empty instead.
+  const std::size_t bound = on.size() - died.size() + born.size() + 1;
+  if (scratch.capacity() < bound) scratch = OnSet();
+  scratch.resize(bound);
+  auto out = scratch.begin();
   auto d = died.begin();
   auto b = born.begin();
-  for (const std::uint64_t key : on) {
-    if (d != died.end() && *d == key) {
-      ++d;
-      continue;
+  std::uint64_t next_dead = d != died.end() ? *d : kEnd;
+  std::uint64_t next_born = b != born.end() ? *b : kEnd;
+  const auto advance_born = [&] {
+    next_born = ++b != born.end() ? *b : kEnd;
+  };
+  for (const auto& edge : on) {
+    const std::uint64_t key = pack_pair(edge.first, edge.second);
+    for (; next_born < key; advance_born()) {
+      *out++ = {pair_key_i(next_born), pair_key_j(next_born)};
     }
-    while (b != born.end() && *b < key) scratch.push_back(*b++);
-    scratch.push_back(key);
+    if (next_born == key) advance_born();
+    *out = edge;
+    const bool dead = key == next_dead;
+    out += !dead;
+    d += dead;
+    next_dead = d != died.end() ? *d : kEnd;
   }
-  scratch.insert(scratch.end(), b, born.end());
-  std::swap(on, scratch);
+  for (; next_born != kEnd; advance_born()) {
+    *out++ = {pair_key_i(next_born), pair_key_j(next_born)};
+  }
+  assert(d == died.end());
+  scratch.erase(out, scratch.end());
+  snapshot.swap_edges(scratch);
 }
 
 // Draws a uniform random k-subset of [0, bound) into `out`, sorted
@@ -87,8 +130,8 @@ inline void sample_distinct_positions(Rng& rng, std::uint64_t k,
 }
 
 // Selects an iid Bernoulli(p) subset of the *complement* of `minority`
-// (sorted packed keys) within the n-node pair population and calls
-// visit(key) in ascending key order.  The implicit-majority sampling
+// (sorted packed keys or an on-set) within the n-node pair population
+// and calls visit(key) in ascending key order.  The implicit-majority sampling
 // primitive of the sparse engines: a Binomial(count, p) size plus a
 // uniform distinct placement is exactly an iid per-pair selection, so the
 // law matches geometric-skipping a dense majority bucket — without ever
@@ -98,9 +141,9 @@ inline void sample_distinct_positions(Rng& rng, std::uint64_t k,
 // r-th complement element is r + j where j counts the minority entries
 // below it (minority keys sort like linear pair indices, so the walk is
 // one pass over the map).
-template <typename Visit>
+template <typename Entry, typename Visit>
 inline void bernoulli_complement_select(Rng& rng, std::uint64_t n,
-                                        const std::vector<std::uint64_t>& minority,
+                                        const std::vector<Entry>& minority,
                                         double p,
                                         std::vector<std::uint64_t>& rank_scratch,
                                         Visit&& visit) {
@@ -113,12 +156,12 @@ inline void bernoulli_complement_select(Rng& rng, std::uint64_t n,
   sample_distinct_positions(rng, k, count, rank_scratch);
   std::size_t j = 0;
   std::uint64_t next_minority_index =
-      j < minority.size() ? pair_index_from_key(n, minority[j]) : 0;
+      j < minority.size() ? entry_pair_index(n, minority[j]) : 0;
   for (const std::uint64_t rank : rank_scratch) {
     while (j < minority.size() && next_minority_index <= rank + j) {
       ++j;
       if (j < minority.size()) {
-        next_minority_index = pair_index_from_key(n, minority[j]);
+        next_minority_index = entry_pair_index(n, minority[j]);
       }
     }
     visit(pair_key_from_index(n, rank + j));
@@ -131,7 +174,7 @@ inline void bernoulli_complement_select(Rng& rng, std::uint64_t n,
 // `inserted_keys` / `inserted_states` (sorted by key, disjoint from the
 // surviving keys).  In-place state changes are the caller's business (a
 // state overwrite does not move an entry).  One linear pass, reused
-// scratch capacity — the minority-map analogue of apply_on_set_delta.
+// scratch capacity — the minority-map analogue of merge_on_set.
 inline void apply_minority_delta(std::vector<std::uint64_t>& keys,
                                  std::vector<std::uint8_t>& states,
                                  const std::vector<std::uint64_t>& removed_positions,

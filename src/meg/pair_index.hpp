@@ -22,9 +22,11 @@ inline constexpr std::uint64_t pair_count(std::uint64_t n) noexcept {
 }
 
 // Packed-key representation of a pair (i < j): (i << 32) | j.  Keys sort
-// in the same order as the row-major linear pair index, so sorted key
-// vectors and sorted index vectors enumerate pairs identically.  Shared
-// by every edge-MEG's on-set / bucket storage.
+// in the same order as the row-major linear pair index (and as canonical
+// (i, j) pairs compared lexicographically), so sorted key vectors, sorted
+// index vectors and an edge-MEG's on-set — its snapshot edge buffer —
+// enumerate pairs identically.  The edge-MEGs' buckets, minority maps
+// and per-step flip lists hold packed keys.
 inline constexpr std::uint64_t pack_pair(std::uint32_t i,
                                          std::uint32_t j) noexcept {
   return (static_cast<std::uint64_t>(i) << 32) | j;
@@ -81,9 +83,9 @@ inline std::pair<std::uint32_t, std::uint32_t> pair_from_index(
 
 // Converters between the two interchangeable pair representations.  Both
 // orders agree (keys sort like indices), so any sorted vector can hold
-// either; the packed key is the storage format of the on-sets and
-// minority maps, the linear index the sampling format of the implicit
-// (complement) populations.
+// either; the packed key is the storage format of the buckets, minority
+// maps and flip lists, the linear index the sampling format of the
+// implicit (complement) populations.
 inline std::uint64_t pair_key_from_index(std::uint64_t n,
                                          std::uint64_t index) noexcept {
   const auto [i, j] = pair_from_index(n, index);

@@ -199,25 +199,5 @@ TEST(Measure, OverlayFloodThreadCountDoesNotChangeResults) {
   expect_identical(sequential, threaded);
 }
 
-TEST(MeasureReusing, ProtocolResetMatchesFreshConstruction) {
-  // reset(seed) must make a reused model behave like a freshly built one
-  // for protocol measurements too (RNG reseeding audit).
-  TrialConfig cfg;
-  cfg.trials = 6;
-  cfg.seed = 99;
-  const ProcessFactory gossip = [] {
-    return std::make_unique<GossipProcess>(GossipMode::kPush);
-  };
-  TwoStateEdgeMEG model(24, {0.1, 0.2}, 1);
-  const Measurement reused = measure_reusing(model, gossip, cfg);
-  const Measurement fresh = measure(
-      [](std::uint64_t seed) {
-        return std::make_unique<TwoStateEdgeMEG>(
-            24, TwoStateParams{0.1, 0.2}, seed);
-      },
-      gossip, cfg);
-  expect_identical(reused, fresh);
-}
-
 }  // namespace
 }  // namespace megflood

@@ -164,22 +164,6 @@ TEST(MeasureFlooding, SeededRunsReproduce) {
   EXPECT_DOUBLE_EQ(a.rounds.max, b.rounds.max);
 }
 
-TEST(MeasureFloodingReusing, MatchesFactoryVariant) {
-  TrialConfig cfg;
-  cfg.trials = 6;
-  cfg.seed = 99;
-  TwoStateEdgeMEG model(24, {0.1, 0.2}, 1);
-  const auto reused = measure_flooding_reusing(model, cfg);
-  const auto fresh = measure_flooding(
-      [](std::uint64_t seed) {
-        return std::make_unique<TwoStateEdgeMEG>(
-            24, TwoStateParams{0.1, 0.2}, seed);
-      },
-      cfg);
-  // reset(seed) must make the reused model behave like a fresh one.
-  EXPECT_DOUBLE_EQ(reused.rounds.mean, fresh.rounds.mean);
-}
-
 TEST(MeasureFlooding, WarmupStepsApplied) {
   // A script whose first snapshots are empty: without warmup flooding
   // takes > 2 rounds; with warmup past the gap it completes in 1.

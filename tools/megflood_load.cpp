@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -40,6 +41,7 @@
 
 #include "serve/client.hpp"
 #include "serve/json.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -355,12 +357,8 @@ void run_retrying(std::size_t thread_index, std::size_t first_job,
 }
 
 std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
-  std::size_t used = 0;
-  const unsigned long long parsed = std::stoull(value, &used);
-  if (used != value.size()) {
-    throw std::invalid_argument(flag + " is not an integer: '" + value + "'");
-  }
-  return parsed;
+  if (const auto parsed = megflood::parse_u64_strict(value)) return *parsed;
+  throw std::invalid_argument(flag + " is not an integer: '" + value + "'");
 }
 
 void usage(std::ostream& out) {
@@ -430,9 +428,18 @@ int main(int argc, char** argv) {
       } else if (flag == "--n") {
         options.n = static_cast<std::size_t>(parse_u64(flag, value));
       } else if (flag == "--min_hit_ratio") {
-        options.min_hit_ratio = std::stod(value);
+        const auto ratio = megflood::parse_double_strict(value);
+        if (!ratio || *ratio < 0.0 || *ratio > 1.0) {
+          throw std::invalid_argument("--min_hit_ratio must be a number in "
+                                      "[0,1], got '" + value + "'");
+        }
+        options.min_hit_ratio = *ratio;
       } else if (flag == "--timeout_ms") {
-        options.timeout_ms = static_cast<int>(parse_u64(flag, value));
+        const std::uint64_t timeout_ms = parse_u64(flag, value);
+        if (timeout_ms > static_cast<std::uint64_t>(INT_MAX)) {
+          throw std::invalid_argument("--timeout_ms out of range: " + value);
+        }
+        options.timeout_ms = static_cast<int>(timeout_ms);
       } else if (flag == "--dump_results") {
         options.dump_results = value;
       } else {

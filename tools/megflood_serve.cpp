@@ -25,6 +25,7 @@
 #include "serve/server.hpp"
 #include "serve/worker.hpp"
 #include "util/fault_injection.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -64,12 +65,8 @@ void usage(std::ostream& out) {
 }
 
 std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
-  std::size_t used = 0;
-  const unsigned long long parsed = std::stoull(value, &used);
-  if (used != value.size()) {
-    throw std::invalid_argument(flag + " is not an integer: '" + value + "'");
-  }
-  return parsed;
+  if (const auto parsed = megflood::parse_u64_strict(value)) return *parsed;
+  throw std::invalid_argument(flag + " is not an integer: '" + value + "'");
 }
 
 }  // namespace
