@@ -6,8 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "core/bitwords.hpp"
 #include "core/flooding.hpp"
 #include "geometry/square_grid.hpp"
 #include "graph/builders.hpp"
@@ -219,6 +221,37 @@ void BM_FloodRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FloodRound)->Arg(256)->Arg(1024);
+
+void BM_FloodRoundWords(benchmark::State& state) {
+  // One word-packed round on a sparse n = 2^16 edge-MEG snapshot (about
+  // 4 live edges per node, a quarter of the nodes informed), by the three
+  // ways flood() can meet a snapshot: 0 = edge scan (a fresh snapshot,
+  // the edge-MEG case), 1 = CSR row scan on a fresh snapshot (CSR build
+  // included), 2 = CSR row scan with the CSR already cached (a reused
+  // topology).
+  constexpr std::size_t n = std::size_t{1} << 16;
+  const auto mode = state.range(0);
+  TwoStateEdgeMEG meg(n, {4.0 / static_cast<double>(n), 0.3}, 1);
+  Snapshot snap = meg.snapshot();
+  std::vector<std::pair<NodeId, NodeId>> spare;
+  std::vector<std::uint64_t> cur(bit_words(n), 0), next;
+  for (std::size_t i = 0; i < n; i += 4) set_bit(cur.data(), i);
+  for (auto _ : state) {
+    if (mode == 1) {  // same edges, stale CSR
+      snap.swap_edges(spare);
+      snap.swap_edges(spare);
+    }
+    next = cur;
+    benchmark::DoNotOptimize(
+        mode == 0 ? flood_round_edges(snap, cur.data(), next.data(), n)
+                  : flood_round_rows(snap, cur.data(), next.data(), n));
+  }
+  state.SetLabel(mode == 0 ? "edges" : mode == 1 ? "rows+csr" : "rows");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(snap.num_edges()));
+}
+BENCHMARK(BM_FloodRoundWords)->Arg(0)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FloodAllSources(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -47,11 +47,29 @@ std::size_t flood_round(const Snapshot& snapshot, std::vector<char>& informed,
   return newly;
 }
 
-std::size_t flood_round_words(const Snapshot& snapshot,
+std::size_t flood_round_edges(const Snapshot& snapshot,
                               const std::uint64_t* cur, std::uint64_t* next,
                               std::size_t num_nodes) {
   // Reading from `cur` while writing `next` enforces the synchronous
-  // no-chaining rule without per-node marks.
+  // no-chaining rule without per-node marks.  Each edge ORs each
+  // endpoint's informed bit into the other endpoint's word: no branch on
+  // whether an endpoint is informed, and either endpoint order works.
+  const std::size_t words = bit_words(num_nodes);
+  const std::size_t before = popcount_words(next, words);
+  for (const auto& [u, v] : snapshot.edge_buffer()) {
+    // Both reads before either write: `next` may alias `cur` as far as
+    // the compiler knows.
+    const std::uint64_t u_informed = test_bit(cur, u);
+    const std::uint64_t v_informed = test_bit(cur, v);
+    next[v / kBitWordBits] |= u_informed << (v % kBitWordBits);
+    next[u / kBitWordBits] |= v_informed << (u % kBitWordBits);
+  }
+  return popcount_words(next, words) - before;
+}
+
+std::size_t flood_round_rows(const Snapshot& snapshot,
+                             const std::uint64_t* cur, std::uint64_t* next,
+                             std::size_t num_nodes) {
   const std::size_t words = bit_words(num_nodes);
   const std::size_t before = popcount_words(next, words);
   const auto [offsets, adjacency] = snapshot.csr();
@@ -80,10 +98,18 @@ FloodResult flood(DynamicGraph& graph, NodeId source, std::uint64_t max_rounds) 
     return result;
   }
 
+  // The snapshot of the previous round, to recognise a reused topology.
+  const Snapshot* last = nullptr;
+  std::uint64_t last_version = 0;
   for (std::uint64_t t = 0; t < max_rounds; ++t) {
+    const Snapshot& snap = graph.snapshot();
+    const bool reused = &snap == last && snap.version() == last_version;
     next = cur;
-    informed_count +=
-        flood_round_words(graph.snapshot(), cur.data(), next.data(), n);
+    informed_count += reused
+                          ? flood_round_rows(snap, cur.data(), next.data(), n)
+                          : flood_round_edges(snap, cur.data(), next.data(), n);
+    last = &snap;
+    last_version = snap.version();
     std::swap(cur, next);
     result.informed_counts.push_back(informed_count);
     graph.step();

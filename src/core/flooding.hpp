@@ -9,10 +9,18 @@
 // spreading-phase doubling (Lemma 11/13) and saturation phase (Lemma 14).
 //
 // Engine: informed sets are packed uint64 words (core/bitwords.hpp).  The
-// single-source round scans only informed nodes via word iteration; the
-// all-sources variant keeps the n x n reachability matrix as bit-rows
-// (row[v] = sources that have reached v) and updates it with two word-wide
-// ORs per snapshot edge — ~64x less scalar work than the per-source scan.
+// single-source round reads the snapshot's edge buffer — the form in which
+// every model produces E_t — and ORs each endpoint's informed bit into the
+// other's, so a flood on a model that changes E_t every step never builds
+// the CSR view.  Only when the snapshot is the same object, unmodified
+// since the previous round (a fixed or settled topology), does flood()
+// scan the informed nodes' CSR rows instead: the view is then built once
+// and amortised, and an informed-row scan touches less than a full edge
+// scan.  The CSR otherwise serves the neighbour-list protocols (gossip,
+// k-push, radio).  The all-sources variant keeps the n x n reachability
+// matrix as bit-rows (row[v] = sources that have reached v) and updates
+// it with two word-wide ORs per snapshot edge — ~64x less scalar work
+// than the per-source scan.
 
 #include <cstdint>
 #include <vector>
@@ -33,7 +41,9 @@ struct FloodResult {
 
 // Runs flooding from `source` on `graph` starting at the graph's current
 // snapshot.  Advances the graph `rounds` times; the caller owns resetting
-// the graph between trials.
+// the graph between trials.  Picks flood_round_rows for a round whose
+// snapshot is the previous round's object at the same Snapshot::version()
+// and flood_round_edges otherwise; both give the same result.
 FloodResult flood(DynamicGraph& graph, NodeId source, std::uint64_t max_rounds);
 
 // One flooding round applied to an explicit informed set: returns the
@@ -42,12 +52,18 @@ FloodResult flood(DynamicGraph& graph, NodeId source, std::uint64_t max_rounds);
 std::size_t flood_round(const Snapshot& snapshot, std::vector<char>& informed,
                         std::vector<NodeId>& frontier);
 
-// Word-packed flooding round: `cur` and `next` are bit sets of
-// bit_words(n) words; on entry next must equal cur.  Computes
-// I_{t+1} = I_t ∪ N(I_t) into `next` and returns |I_{t+1}| - |I_t|.
-std::size_t flood_round_words(const Snapshot& snapshot,
+// Word-packed flooding rounds: `cur` and `next` are bit sets of
+// bit_words(n) words; on entry next must equal cur.  Each computes
+// I_{t+1} = I_t ∪ N(I_t) into `next` and returns |I_{t+1}| - |I_t|; the
+// two differ only in how they read E_t.  flood_round_edges scans the
+// edge buffer (O(|E_t|), no CSR); flood_round_rows scans the CSR rows of
+// the informed nodes (builds the CSR if it is not cached).
+std::size_t flood_round_edges(const Snapshot& snapshot,
                               const std::uint64_t* cur, std::uint64_t* next,
                               std::size_t num_nodes);
+std::size_t flood_round_rows(const Snapshot& snapshot,
+                             const std::uint64_t* cur, std::uint64_t* next,
+                             std::size_t num_nodes);
 
 // Rounds spent in the spreading phase (|I_t| < n/2) and the saturation
 // phase (n/2 <= |I_t| < n) of a completed flood; {0, 0} if not completed.

@@ -9,6 +9,13 @@
 // buffers reuse their capacity across clear()/add_edge cycles, so a model
 // stepping in a loop performs no per-step allocation after warmup.
 //
+// Flooding reads the edge buffer directly (core/flooding.hpp), so a
+// model that changes E_t every step never pays for the CSR under a
+// flood.  The CSR serves the neighbour-list consumers (gossip, k-push,
+// radio) and topologies that stay unchanged over many rounds, where one
+// build is amortised; version() tells a consumer whether that is the
+// case.
+//
 // The CSR fill pass walks the edge buffer in insertion order, so each
 // node's neighbor list is exactly the sequence of push_backs the old
 // per-node-vector layout produced — downstream consumers that sample from
@@ -37,7 +44,7 @@ class Snapshot {
   // producer side of every model's per-step snapshot rebuild.
   void clear() noexcept {
     edges_.clear();
-    csr_valid_ = false;
+    touch();
   }
 
   // Resize to `num_nodes` and drop all edges.
@@ -49,7 +56,7 @@ class Snapshot {
     check_node(u);
     check_node(v);
     edges_.emplace_back(u, v);
-    csr_valid_ = false;
+    touch();
   }
 
   // Replaces the edge set wholesale by swapping buffers: `edges` receives
@@ -60,8 +67,16 @@ class Snapshot {
   // per-edge bounds checks this way.
   void swap_edges(std::vector<std::pair<NodeId, NodeId>>& edges) noexcept {
     edges_.swap(edges);
-    csr_valid_ = false;
+    touch();
   }
+
+  // Mutation counter: bumped by every clear()/reset()/add_edge()/
+  // swap_edges().  The same snapshot object at an unchanged version holds
+  // the same edge set, so a consumer can tell a reused topology from a
+  // fresh one.  A copy carries its source's version, so the counter is a
+  // hint for choosing a strategy, never a substitute for reading the
+  // edges: csr() and edge_buffer() always reflect the current edge set.
+  std::uint64_t version() const noexcept { return version_; }
 
   // Neighbor list of v in insertion order.  The span is invalidated by the
   // next clear()/reset()/add_edge().
@@ -96,6 +111,10 @@ class Snapshot {
 
  private:
   void ensure_csr() const;
+  void touch() noexcept {
+    ++version_;
+    csr_valid_ = false;
+  }
   void check_node(NodeId v) const {
     if (v >= num_nodes_) {
       throw std::out_of_range("Snapshot: node id out of range");
@@ -104,6 +123,7 @@ class Snapshot {
 
   std::size_t num_nodes_ = 0;
   std::vector<std::pair<NodeId, NodeId>> edges_;
+  std::uint64_t version_ = 0;
 
   // Lazily built CSR view; mutable because building it on first query is
   // not an observable state change (single-threaded use assumed).

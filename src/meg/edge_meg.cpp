@@ -1,6 +1,5 @@
 #include "meg/edge_meg.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "meg/pair_index.hpp"
@@ -35,9 +34,10 @@ void TwoStateEdgeMEG::initialize() {
     case EdgeMegInit::kStationary: {
       // Geometric skipping over the pair enumeration; indices arrive
       // strictly increasing, so the on-set is sorted by construction.
+      PairRowCursor pair_of(n_);
       geometric_select(rng_, total_pairs_, chain_.stationary_on(),
                        [&](std::uint64_t e) {
-                         next_edges_.push_back(pair_from_index(n_, e));
+                         next_edges_.push_back(pair_of(e));
                        });
       break;
     }
@@ -52,9 +52,8 @@ void TwoStateEdgeMEG::step() {
   // Deaths: each edge that is on at the start of the step dies with
   // probability q.  The on-set is walked in sorted order (it is stored
   // sorted), so the RNG consumption sequence is a pure function of the
-  // seed and the state; the dead are collected so births below can be
-  // decided against the pre-step state (a pair that dies this step was
-  // on, hence cannot also be born this step).
+  // seed and the state.  The dead are collected and applied together
+  // with the births in one merge.
   killed_.clear();
   if (q > 0.0) {
     for (const auto& [i, j] : snapshot_.edge_buffer()) {
@@ -63,16 +62,16 @@ void TwoStateEdgeMEG::step() {
   }
 
   // Births: mark every pair with probability p via geometric skipping over
-  // the linear pair enumeration.  A mark on a surviving on-pair is a no-op
-  // (kept once by the merge); a mark on a killed pair is discarded, which
-  // restricts births to exactly the pre-step off edges.
+  // the linear pair enumeration.  The merge decides each mark against the
+  // pre-step state: a mark on a surviving on-pair is a no-op (kept once)
+  // and a mark on a killed pair is dropped with it, which restricts
+  // births to exactly the pre-step off edges.
   born_.clear();
   if (p > 0.0) {
+    PairRowCursor pair_of(n_);
     geometric_select(rng_, total_pairs_, p, [&](std::uint64_t e) {
-      const std::uint64_t key = pair_key_from_index(n_, e);
-      if (!std::binary_search(killed_.begin(), killed_.end(), key)) {
-        born_.push_back(key);
-      }
+      const auto [i, j] = pair_of(e);
+      born_.push_back(pack_pair(i, j));
     });
   }
 

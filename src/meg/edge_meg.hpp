@@ -12,8 +12,10 @@
 // The on-edge set is the snapshot's edge buffer itself — canonical
 // (i, j) pairs in ascending order — updated per step by one sorted merge
 // of the deaths and births (meg/on_set.hpp), so a step performs no
-// hashing, no re-sort, and (after warmup) no allocation; the
-// triangular-index inversion runs only for the few birth candidates.
+// hashing, no re-sort, and (after warmup) no allocation.  Birth
+// candidates arrive in ascending pair order, so a row cursor converts
+// them to pairs (meg/pair_index.hpp), and the merge itself discards the
+// ones that land on edges already on.
 //
 // In the storage-mode taxonomy of meg/storage.hpp this engine is
 // *always* sparse: the two-state chain needs no per-pair hidden state,

@@ -40,14 +40,15 @@ inline std::uint64_t entry_pair_index(
   return pair_index_of(n, edge.first, edge.second);
 }
 
-// Replaces the snapshot's on-set by (on \ died) ∪ born in one linear pass
-// into `scratch`, which is then swapped in (and receives the old buffer's
-// capacity for the next step).  `died` and `born` are sorted packed keys
-// with died ⊆ on and died ∩ born = ∅; a born key that is already on is
-// kept once (TwoStateEdgeMEG's birth marks may land on surviving edges).
-// With no flips the snapshot is left untouched.  Deaths are dropped
-// without a branch: whether an edge died is as unpredictable as the coin
-// that killed it.
+// Replaces the snapshot's on-set by (on \ died) ∪ (born \ on) in one
+// linear pass into `scratch`, which is then swapped in (and receives the
+// old buffer's capacity for the next step).  `died` and `born` are sorted
+// packed keys with died ⊆ on.  A born key that is already on adds
+// nothing: a surviving edge is kept once and a dying one still dies
+// (TwoStateEdgeMEG's birth marks may land on any on-pair; a birth decided
+// against the pre-step state needs exactly this).  With no flips the
+// snapshot is left untouched.  Deaths are dropped without a branch:
+// whether an edge died is as unpredictable as the coin that killed it.
 inline void merge_on_set(Snapshot& snapshot,
                          const std::vector<std::uint64_t>& died,
                          const std::vector<std::uint64_t>& born,

@@ -81,6 +81,47 @@ inline std::pair<std::uint32_t, std::uint32_t> pair_from_index(
   return {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)};
 }
 
+// pair_from_index for a non-decreasing run of indices (the visits of a
+// geometric_select over the pair enumeration): keeps the row of the
+// previous index and walks forward row by row, so a nearby index costs a
+// few additions instead of a 128-bit square root.  A jump past a few rows
+// falls back to pair_from_index.  Exact integer arithmetic either way, so
+// the pairs are the same.  Precondition: n >= 2; each index < pair_count(n)
+// and >= the previous one.
+class PairRowCursor {
+ public:
+  explicit PairRowCursor(std::uint64_t n) noexcept : n_(n), row_end_(n - 1) {}
+
+  std::pair<std::uint32_t, std::uint32_t> operator()(
+      std::uint64_t index) noexcept {
+    for (int hops = 0; index >= row_end_; ++hops) {
+      if (hops == kMaxHops) {
+        seek(index);
+        break;
+      }
+      ++i_;
+      row_start_ = row_end_;
+      row_end_ += n_ - 1 - i_;
+    }
+    return {static_cast<std::uint32_t>(i_),
+            static_cast<std::uint32_t>(i_ + 1 + (index - row_start_))};
+  }
+
+ private:
+  static constexpr int kMaxHops = 8;
+
+  void seek(std::uint64_t index) noexcept {
+    i_ = pair_from_index(n_, index).first;
+    row_start_ = pair_row_start(n_, i_);
+    row_end_ = row_start_ + (n_ - 1 - i_);
+  }
+
+  std::uint64_t n_;
+  std::uint64_t i_ = 0;          // current row
+  std::uint64_t row_start_ = 0;  // pair_row_start(n, i_)
+  std::uint64_t row_end_;        // one past the row's last index
+};
+
 // Converters between the two interchangeable pair representations.  Both
 // orders agree (keys sort like indices), so any sorted vector can hold
 // either; the packed key is the storage format of the buckets, minority

@@ -23,10 +23,18 @@ std::uint64_t Rng::uniform_int(std::uint64_t bound) noexcept {
 }
 
 std::uint64_t Rng::geometric(double p) noexcept {
+  return GeometricSampler(p)(*this);
+}
+
+GeometricSampler::GeometricSampler(double p) noexcept
+    : certain_(p >= 1.0), log_q_(certain_ ? 0.0 : std::log1p(-p)) {
   assert(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  const double u = 1.0 - uniform();  // in (0, 1]
-  const double draw = std::floor(std::log(u) / std::log1p(-p));
+}
+
+std::uint64_t GeometricSampler::operator()(Rng& rng) const noexcept {
+  if (certain_) return 0;
+  const double u = 1.0 - rng.uniform();  // in (0, 1]
+  const double draw = std::floor(std::log(u) / log_q_);
   // For tiny p the inversion can exceed the uint64 range (or be NaN when
   // both logs underflow); saturate to numeric_limits::max().  Callers
   // interpret the draw as "first success at index draw" over a finite

@@ -110,6 +110,21 @@ class Rng {
   std::uint64_t s_[4];
 };
 
+// Rng::geometric(p) with log1p(-p) computed once, for a run of draws at
+// one p.  Every draw evaluates the same expression on the same uniform,
+// so a sampler and repeated rng.geometric(p) calls produce the identical
+// values and consume the identical stream.  Precondition: p in (0, 1].
+class GeometricSampler {
+ public:
+  explicit GeometricSampler(double p) noexcept;
+
+  std::uint64_t operator()(Rng& rng) const noexcept;
+
+ private:
+  bool certain_;  // p >= 1: every draw is 0 and consumes nothing
+  double log_q_;  // log1p(-p)
+};
+
 // Selects each index in [0, count) independently with probability p and
 // calls visit(i) for the selected indices in ascending order, consuming
 // one geometric draw per gap (the batch-sampling primitive behind the
@@ -121,10 +136,11 @@ template <typename Visit>
 inline void geometric_select(Rng& rng, std::uint64_t count, double p,
                              Visit&& visit) {
   if (p <= 0.0 || count == 0) return;
-  std::uint64_t i = rng.geometric(p);
+  const GeometricSampler geometric(p);
+  std::uint64_t i = geometric(rng);
   while (i < count) {
     visit(i);
-    const std::uint64_t skip = rng.geometric(p);
+    const std::uint64_t skip = geometric(rng);
     if (skip >= count - i - 1) break;  // next index would pass the end
     i += 1 + skip;
   }

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/flooding.hpp"
 #include "meg/edge_meg.hpp"
+#include "meg/on_set.hpp"
+#include "meg/pair_index.hpp"
 
 namespace megflood {
 namespace {
@@ -71,6 +75,21 @@ TEST(TwoStateEdgeMEG, NoRebirthSameStep) {
   EXPECT_EQ(meg.snapshot().num_edges(), 0u);
   meg.step();
   EXPECT_EQ(meg.snapshot().num_edges(), meg.num_pairs());
+}
+
+TEST(TwoStateEdgeMEG, MergeDropsBirthMarksOnOnPairs) {
+  // The step hands every birth mark to merge_on_set, including marks on
+  // pairs that are on: a surviving one is kept once, a dying one dies.
+  Snapshot snap(4);
+  for (const auto& [i, j] : OnSet{{0, 1}, {0, 3}, {1, 2}, {2, 3}}) {
+    snap.add_edge(i, j);
+  }
+  const std::vector<std::uint64_t> died = {pack_pair(0, 3), pack_pair(2, 3)};
+  const std::vector<std::uint64_t> born = {pack_pair(0, 2), pack_pair(0, 3),
+                                           pack_pair(1, 2), pack_pair(1, 3)};
+  OnSet scratch;
+  merge_on_set(snap, died, born, scratch);
+  EXPECT_EQ(snap.edge_buffer(), (OnSet{{0, 1}, {0, 2}, {1, 2}, {1, 3}}));
 }
 
 TEST(TwoStateEdgeMEG, ResetReproducesStream) {

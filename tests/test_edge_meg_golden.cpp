@@ -1,11 +1,15 @@
-// Golden streams for the generalized and heterogeneous edge-MEG engines:
-// a hash of the snapshot edge buffer over construction, 50 steps, a
-// reset and 5 more steps, for fixed seeds, in both storage modes and for
-// every ready-made link chain and rate sampler.  The pinned values were
-// recorded from the engines as they stood when the on-set was a separate
-// packed-key vector copied into the snapshot every step; any change to
-// the RNG draw order, the transition law or the edge order shows up as a
-// mismatch.  (TwoStateEdgeMEG is pinned by test_engine_equivalence.)
+// Golden streams for the edge-MEG engines: a hash of the snapshot edge
+// buffer over construction, 50 steps, a reset and 5 more steps, for fixed
+// seeds.  The generalized and heterogeneous engines are pinned in both
+// storage modes and for every ready-made link chain and rate sampler;
+// their values were recorded when the on-set was a separate packed-key
+// vector copied into the snapshot every step.  The two-state engine is
+// pinned across its birth regimes (sparse births many rows apart, dense
+// births several per row, no deaths) and its initializers; its values
+// were recorded when births were converted by pair_from_index and
+// filtered by a binary search over the step's deaths.  Any change to the
+// RNG draw order, the transition law or the edge order shows up as a
+// mismatch.
 //
 // The same file checks the canonical-order invariant every edge-MEG
 // engine promises: the edge buffer is strictly ascending with i < j after
@@ -149,9 +153,32 @@ std::vector<Case> het_cases() {
   return cases;
 }
 
+Factory two_state(std::size_t n, double p, double q,
+                  EdgeMegInit init = EdgeMegInit::kStationary) {
+  return factory<TwoStateEdgeMEG>(n, TwoStateParams{p, q}, kSeed, init);
+}
+
+std::vector<Case> two_state_cases() {
+  return {
+      // About one birth per step among 499500 pairs: consecutive births
+      // lie hundreds of rows apart.
+      {"two_state/sparse_jumps", two_state(1000, 2e-6, 0.3), 0},
+      // Several births per row of 39 pairs.
+      {"two_state/dense_rows", two_state(kN, 0.3, 0.2), 0},
+      // No deaths: edges accumulate from the empty start (the stationary
+      // start would be the complete graph).
+      {"two_state/q0", two_state(kN, 0.01, 0.0, EdgeMegInit::kAllOff), 0},
+      {"two_state/init_off",
+       two_state(kN, 0.05, 0.3, EdgeMegInit::kAllOff), 0},
+      {"two_state/init_on", two_state(kN, 0.05, 0.3, EdgeMegInit::kAllOn),
+       0},
+  };
+}
+
 std::vector<Case> golden_cases() {
   std::vector<Case> cases = general_cases();
   for (Case& c : het_cases()) cases.push_back(std::move(c));
+  for (Case& c : two_state_cases()) cases.push_back(std::move(c));
   // In case order (see general_cases / het_cases).
   const std::uint64_t golden[] = {
       0x80b07cf029d5cbc7,  // general/bursty/dense
@@ -166,6 +193,11 @@ std::vector<Case> golden_cases() {
       0x5dae655a9b263975,  // het/two_speed/dense
       0xa8ca113c7b0e9f78,  // het/uniform_alpha/sparse
       0xfba2822e6edd9101,  // het/two_speed/sparse
+      0x76e56be932fcb6b0,  // two_state/sparse_jumps
+      0xd002b04627c6fad9,  // two_state/dense_rows
+      0x6c5261168b15804c,  // two_state/q0
+      0xc44fb104477b5404,  // two_state/init_off
+      0x7c3d3caf62b7924f,  // two_state/init_on
   };
   EXPECT_EQ(cases.size(), std::size(golden));
   for (std::size_t k = 0; k < cases.size() && k < std::size(golden); ++k) {
@@ -184,8 +216,10 @@ TEST(EdgeMegGolden, EdgeBufferStreamsMatchPinnedHashes) {
 
 TEST(EdgeMegGolden, StorageModesResolveAsRequested) {
   // Guards the golden table: a sparse case that silently fell back to
-  // dense would pin the wrong engine.
+  // dense would pin the wrong engine.  (The two-state engine has no
+  // storage mode.)
   for (const Case& c : golden_cases()) {
+    if (c.name.starts_with("two_state/")) continue;
     const auto model = c.make();
     const bool want_sparse = c.name.ends_with("/sparse");
     if (const auto* g = dynamic_cast<const GeneralEdgeMEG*>(model.get())) {

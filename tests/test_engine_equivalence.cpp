@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/bitwords.hpp"
@@ -123,21 +126,124 @@ TEST(EngineEquivalence, RandomWalkFloodTrajectories) {
 }
 
 TEST(EngineEquivalence, WordRoundMatchesByteRound) {
-  // flood_round_words against the byte-array flood_round on one snapshot.
+  // Both word rounds against the byte-array flood_round on one snapshot.
   TwoStateEdgeMEG meg(96, {0.05, 0.2}, 5);
   const Snapshot& snap = meg.snapshot();
   std::vector<char> informed(96, 0);
   for (NodeId u = 0; u < 96; u += 7) informed[u] = 1;
-  std::vector<std::uint64_t> cur(bit_words(96), 0), next;
+  std::vector<std::uint64_t> cur(bit_words(96), 0);
   for (NodeId u = 0; u < 96; u += 7) set_bit(cur.data(), u);
-  next = cur;
   std::vector<NodeId> scratch;
   const std::size_t newly_bytes = flood_round(snap, informed, scratch);
-  const std::size_t newly_words =
-      flood_round_words(snap, cur.data(), next.data(), 96);
-  EXPECT_EQ(newly_words, newly_bytes);
-  for (NodeId v = 0; v < 96; ++v) {
-    EXPECT_EQ(test_bit(next.data(), v), informed[v] != 0) << "node " << v;
+  for (const auto round : {&flood_round_edges, &flood_round_rows}) {
+    std::vector<std::uint64_t> next = cur;
+    EXPECT_EQ(round(snap, cur.data(), next.data(), 96), newly_bytes);
+    for (NodeId v = 0; v < 96; ++v) {
+      EXPECT_EQ(test_bit(next.data(), v), informed[v] != 0) << "node " << v;
+    }
+  }
+}
+
+// A snapshot of `edges` distinct random pairs, each added in the order
+// its endpoints were drawn, so about half are non-canonical (u > v) — the
+// orientation node-MEG and mobility producers emit.  Precondition:
+// edges <= n(n-1)/2.
+Snapshot random_snapshot(std::size_t n, std::size_t edges, Rng& rng) {
+  Snapshot snap(n);
+  std::set<std::pair<NodeId, NodeId>> seen;
+  while (seen.size() < edges) {
+    const auto u = static_cast<NodeId>(rng.uniform_int(n));
+    const auto v = static_cast<NodeId>(rng.uniform_int(n));
+    if (u == v || !seen.insert(std::minmax(u, v)).second) continue;
+    snap.add_edge(u, v);
+  }
+  return snap;
+}
+
+// The path 0 - 1 - ... - (n-1), every edge added as (i + 1, i).
+Snapshot reversed_path(std::size_t n) {
+  Snapshot snap(n);
+  for (NodeId i = 0; i + 1 < n; ++i) snap.add_edge(i + 1, i);
+  return snap;
+}
+
+TEST(EngineEquivalence, FloodKernelsAgreeOnNonCanonicalSnapshots) {
+  // The edge scan, the CSR row scan, the byte-array round and the
+  // reference round on random informed sets, for n on and off a
+  // multiple of 64.
+  Rng rng(41);
+  for (const std::size_t n : {2, 3, 63, 64, 65, 100, 130}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const std::size_t edges =
+          rng.uniform_int(std::min(n * 3 / 2, n * (n - 1) / 2) + 1);
+      const Snapshot snap = random_snapshot(n, edges, rng);
+      const auto ref = reference::RefSnapshot::from(snap);
+      std::vector<char> informed(n, 0), ref_informed(n, 0);
+      std::vector<std::uint64_t> cur(bit_words(n), 0);
+      for (NodeId u = 0; u < n; ++u) {
+        if (rng.bernoulli(0.2)) {
+          informed[u] = ref_informed[u] = 1;
+          set_bit(cur.data(), u);
+        }
+      }
+      std::vector<NodeId> scratch;
+      const std::size_t want = reference::ref_flood_round(ref, ref_informed);
+      ASSERT_EQ(flood_round(snap, informed, scratch), want);
+      ASSERT_EQ(informed, ref_informed);
+      for (const auto round : {&flood_round_edges, &flood_round_rows}) {
+        std::vector<std::uint64_t> next = cur;
+        ASSERT_EQ(round(snap, cur.data(), next.data(), n), want) << "n " << n;
+        for (NodeId v = 0; v < n; ++v) {
+          ASSERT_EQ(test_bit(next.data(), v), ref_informed[v] != 0)
+              << "n " << n << " node " << v;
+        }
+        // No bit past n is ever set.
+        for (std::size_t v = n; v < bit_words(n) * kBitWordBits; ++v) {
+          ASSERT_FALSE(test_bit(next.data(), v)) << "n " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineEquivalence, FloodSwitchesToRowScanWhenScriptHolds) {
+  // Four fresh random snapshots (edge scan), then the script holds a
+  // reversed path, the same unmodified object every round (row scan):
+  // the trajectory must match the reference across the switch.
+  constexpr std::size_t n = 100;
+  Rng rng(43);
+  std::vector<Snapshot> script;
+  for (int t = 0; t < 4; ++t) script.push_back(random_snapshot(n, 30, rng));
+  script.push_back(reversed_path(n));
+  const auto ref_trace = to_reference(script);
+  ScriptedDynamicGraph scripted(script);
+  for (const NodeId source : {NodeId{0}, NodeId{37}, NodeId{99}}) {
+    scripted.reset(0);
+    const FloodResult got = flood(scripted, source, 3 * n);
+    EXPECT_TRUE(got.completed) << "source " << source;
+    EXPECT_GT(got.rounds, script.size()) << "source " << source;
+    EXPECT_EQ(got.informed_counts,
+              reference::ref_flood_counts(ref_trace, source, n, 3 * n))
+        << "source " << source;
+  }
+}
+
+TEST(EngineEquivalence, FloodOnFixedGraphMatchesReference) {
+  // A fixed topology: the first round scans edges, every later one the
+  // cached CSR rows.
+  for (const std::size_t n : {65, 100}) {
+    FixedDynamicGraph fixed(cycle_graph(n));
+    const std::vector<reference::RefSnapshot> ref_trace = {
+        reference::RefSnapshot::from(fixed.snapshot())};
+    for (const NodeId source : {NodeId{0}, static_cast<NodeId>(n - 1)}) {
+      fixed.reset(0);
+      const FloodResult got = flood(fixed, source, n);
+      EXPECT_TRUE(got.completed);
+      EXPECT_EQ(got.rounds, n / 2);
+      EXPECT_EQ(got.informed_counts,
+                reference::ref_flood_counts(ref_trace, source, n, n))
+          << "n " << n << " source " << source;
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "meg/pair_index.hpp"
 
@@ -115,6 +116,79 @@ TEST(PairIndex, LargeNRegressionPastDoublePrecision) {
       EXPECT_EQ(gj, j);
     }
   }
+}
+
+// Feeds an ascending index run through one PairRowCursor and checks every
+// pair against pair_from_index.
+void expect_cursor_matches(std::uint64_t n,
+                           const std::vector<std::uint64_t>& indices) {
+  PairRowCursor pair_of(n);
+  for (const std::uint64_t index : indices) {
+    const auto want = pair_from_index(n, index);
+    const auto got = pair_of(index);
+    ASSERT_EQ(got, want) << "n=" << n << " index=" << index;
+  }
+}
+
+TEST(PairIndex, RowCursorMatchesInversionExhaustively) {
+  // Every index in turn (one-step walks across every row boundary, the
+  // last row included), and the same with repeats.
+  for (std::uint64_t n : {2ull, 3ull, 5ull, 17ull, 64ull}) {
+    std::vector<std::uint64_t> all, doubled;
+    for (std::uint64_t index = 0; index < pair_count(n); ++index) {
+      all.push_back(index);
+      doubled.push_back(index);
+      doubled.push_back(index);
+    }
+    expect_cursor_matches(n, all);
+    expect_cursor_matches(n, doubled);
+  }
+}
+
+TEST(PairIndex, RowCursorAtRowBoundariesAndLongJumps) {
+  // Row starts and ends, walked one row at a time and also with jumps
+  // of many rows (the pair_from_index fallback), up to the last pair.
+  const std::uint64_t n = 1'000'003;
+  std::vector<std::uint64_t> stepped, jumping;
+  for (std::uint64_t i = 0; i + 1 < n; i += (i < 40 || i > n - 40) ? 1 : 9973) {
+    const std::uint64_t start = pair_row_start(n, i);
+    stepped.push_back(start);
+    stepped.push_back(start + (n - 1 - i) - 1);
+  }
+  for (std::uint64_t i : {std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{9},
+                          std::uint64_t{18}, n / 3, n / 2, n - 12, n - 3,
+                          n - 2}) {
+    jumping.push_back(pair_row_start(n, i) + (n - 1 - i) / 2);
+  }
+  jumping.push_back(pair_count(n) - 1);
+  expect_cursor_matches(n, stepped);
+  expect_cursor_matches(n, jumping);
+  // Jumps of 1 to 12 rows straddle the cursor's walk-or-fall-back
+  // threshold.
+  for (std::uint64_t rows = 1; rows <= 12; ++rows) {
+    expect_cursor_matches(n, {5, pair_row_start(n, rows),
+                              pair_row_start(n, 2 * rows) + 3});
+  }
+}
+
+TEST(PairIndex, RowCursorLargeNRegression) {
+  // The large-n indices of LargeNRegressionPastDoublePrecision: rows whose
+  // start index exceeds 2^53, reached by the fallback and then walked.
+  const std::uint64_t n = 4'294'967'295ull;  // 2^32 - 1
+  std::vector<std::uint64_t> indices = {0, 1};
+  for (std::uint64_t row : {std::uint64_t{1}, n / 4, n / 2, (3 * n) / 4,
+                            n - 2}) {
+    const std::uint64_t start = pair_row_start(n, row);
+    if (row > 0 && start - 1 > indices.back()) indices.push_back(start - 1);
+    indices.push_back(start);
+    indices.push_back(start + (n - 1 - row) - 1);
+    if (row + 2 < n) {
+      indices.push_back(pair_row_start(n, row + 1));
+      indices.push_back(pair_row_start(n, row + 2) + 5);
+    }
+  }
+  indices.push_back(pair_count(n) - 1);
+  expect_cursor_matches(n, indices);
 }
 
 TEST(PairIndex, IsqrtExactness) {

@@ -174,27 +174,67 @@ TEST(Rng, GeometricSmallPMeanMatches) {
 }
 
 TEST(Rng, GeometricSelectMatchesLoopAndNeverWraps) {
-  // geometric_select must consume the identical stream as the historical
-  // `i = g0; while (i < count) { visit; i += 1 + g; }` pattern, without
-  // the wrap-around that pattern suffers at the saturated draw.
-  Rng a(23), b(23);
+  // geometric_select draws through a GeometricSampler (log1p(-p) computed
+  // once per call); it must visit exactly the indices, and consume
+  // exactly the stream, of the historical
+  // `i = g0; while (i < count) { visit; i += 1 + g; }` loop over repeated
+  // rng.geometric(p) calls — without the wrap-around that loop suffers at
+  // the saturated draw.  The table spans a saturating subnormal p, tiny
+  // and sparse-regime p, both sides of 1/2, p just below 1 and p = 1.
   constexpr std::uint64_t kCount = 1000;
-  const double p = 0.01;
-  std::vector<std::uint64_t> got, want;
-  geometric_select(a, kCount, p, [&](std::uint64_t i) { got.push_back(i); });
-  std::uint64_t e = b.geometric(p);
-  while (e < kCount) {
-    want.push_back(e);
-    e += 1 + b.geometric(p);
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const double p : {5e-324, 1e-12, 4e-6, 0.3, 0.5, 1.0 - 1e-9, 1.0}) {
+    Rng a(23), b(23);
+    std::vector<std::uint64_t> got, want;
+    geometric_select(a, kCount, p, [&](std::uint64_t i) { got.push_back(i); });
+    std::uint64_t e = b.geometric(p);
+    while (e < kCount) {
+      want.push_back(e);
+      const std::uint64_t skip = b.geometric(p);
+      if (skip >= kMax - e) break;  // the historical loop would wrap here
+      e += 1 + skip;
+    }
+    EXPECT_EQ(got, want) << "p = " << p;
+    EXPECT_EQ(a(), b()) << "p = " << p;  // streams aligned afterwards
   }
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(a(), b());  // streams fully aligned afterwards
 
-  // With a saturating p the selection is empty and terminates.
+  // A saturating p selects nothing and terminates.
   Rng c(24);
   std::size_t visits = 0;
   geometric_select(c, kCount, 5e-324, [&](std::uint64_t) { ++visits; });
   EXPECT_EQ(visits, 0u);
+  // p = 1 selects everything and consumes no draws.
+  Rng d(25), e(25);
+  visits = 0;
+  geometric_select(d, kCount, 1.0, [&](std::uint64_t) { ++visits; });
+  EXPECT_EQ(visits, kCount);
+  EXPECT_EQ(d(), e());
+}
+
+TEST(Rng, GeometricSamplerMatchesGeometric) {
+  // The hoisted sampler, rng.geometric(p) and the documented inversion
+  // floor(log(u) / log1p(-p)) on u = 1 - uniform() (saturating, and 0
+  // without a draw at p = 1) agree draw for draw.
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const double p : {5e-324, 1e-12, 4e-6, 0.3, 0.5, 1.0 - 1e-9, 1.0}) {
+    Rng a(31), b(31), c(31);
+    const GeometricSampler geometric(p);
+    for (int i = 0; i < 2000; ++i) {
+      std::uint64_t want = 0;
+      if (p < 1.0) {
+        const double draw =
+            std::floor(std::log(1.0 - c.uniform()) / std::log1p(-p));
+        want = draw >= 0.0 && draw < static_cast<double>(kMax)
+                   ? static_cast<std::uint64_t>(draw)
+                   : kMax;
+      }
+      ASSERT_EQ(geometric(a), want) << "p = " << p << " draw " << i;
+      ASSERT_EQ(b.geometric(p), want) << "p = " << p << " draw " << i;
+    }
+    const std::uint64_t next = a();  // streams aligned afterwards
+    EXPECT_EQ(b(), next) << "p = " << p;
+    EXPECT_EQ(c(), next) << "p = " << p;
+  }
 }
 
 TEST(Rng, SplitProducesIndependentStream) {
