@@ -34,7 +34,7 @@ void BM_EdgeMegStepSparse(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EdgeMegStepSparse)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_EdgeMegStepSparse)->Arg(256)->Arg(1024)->Arg(4096)->Arg(65536);
 
 void BM_EdgeMegStepDense(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -11,11 +11,18 @@
 //
 // The on-edge set is the snapshot's edge buffer itself — canonical
 // (i, j) pairs in ascending order — updated per step by one sorted merge
-// of the deaths and births (meg/on_set.hpp), so a step performs no
-// hashing, no re-sort, and (after warmup) no allocation.  Birth
-// candidates arrive in ascending pair order, so a row cursor converts
-// them to pairs (meg/pair_index.hpp), and the merge itself discards the
-// ones that land on edges already on.
+// (meg/on_set.hpp), so a step performs no hashing, no re-sort, and (after
+// warmup) no allocation.  A step runs in three phases, every RNG draw in
+// the same order as a plain per-edge loop:
+//   1. deaths: one integer coin (BernoulliSampler, util/rng.hpp) per
+//      on-edge in buffer order, folded into a bitmask by position — the
+//      walk needs only |E_t|, never the edges;
+//   2. births: geometric skipping collects the marks as linear pair
+//      indices, and a second pass converts them in place to packed keys
+//      with a row cursor (meg/pair_index.hpp), keeping the cursor's
+//      unpredictable row hops out of the loop that computes log();
+//   3. the merge reads the mask as its death source (DeathMask) and
+//      discards the birth marks that land on edges already on.
 //
 // In the storage-mode taxonomy of meg/storage.hpp this engine is
 // *always* sparse: the two-state chain needs no per-pair hidden state,
@@ -58,16 +65,18 @@ class TwoStateEdgeMEG final : public DynamicGraph {
 
  private:
   void initialize();
+  // Fills dead_ for the current on-set and returns the number of deaths.
+  std::size_t draw_deaths(double q);
 
   std::size_t n_;
   TwoStateChain chain_;
   EdgeMegInit init_;
   Rng rng_;
   std::uint64_t total_pairs_;
-  // Step scratch: packed keys (meg/pair_index.hpp), both ascending — the
-  // death walk visits the on-set in order and births arrive in linear
-  // pair-index order, which is packed-key order.
-  std::vector<std::uint64_t> killed_;
+  // Step scratch.  dead_: one bit per on-edge position (a DeathMask).
+  // born_: birth marks, drawn as linear pair indices and converted in
+  // place to packed keys (meg/pair_index.hpp), ascending either way.
+  std::vector<std::uint64_t> dead_;
   std::vector<std::uint64_t> born_;
   OnSet next_edges_;  // the next on-set, swapped into the snapshot
   Snapshot snapshot_;

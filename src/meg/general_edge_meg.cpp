@@ -336,7 +336,7 @@ void GeneralEdgeMEG::step() {
   // Movers arrive in bucket / minority-map order, not key order.
   std::sort(died_.begin(), died_.end());
   std::sort(born_.begin(), born_.end());
-  merge_on_set(snapshot_, died_, born_, next_edges_);
+  merge_on_set(snapshot_, DeathKeys(died_), born_, next_edges_);
   advance_clock();
 }
 

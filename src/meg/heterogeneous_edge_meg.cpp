@@ -224,7 +224,7 @@ void HeterogeneousEdgeMEG::step() {
   // Dense flips arrive in bucket order, not key order.
   std::sort(died_.begin(), died_.end());
   std::sort(born_.begin(), born_.end());
-  merge_on_set(snapshot_, died_, born_, next_edges_);
+  merge_on_set(snapshot_, DeathKeys(died_), born_, next_edges_);
   advance_clock();
 }
 

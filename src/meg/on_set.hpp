@@ -4,9 +4,12 @@
 // geometric-skip engines.  The on-set *is* the snapshot edge buffer:
 // canonical (i < j) node pairs in ascending order, which is also packed
 // key order and linear pair-index order (meg/pair_index.hpp).  Per step
-// only the flipped edges are known, as sorted packed keys, and one merge
-// pass writes the next buffer — no O(n^2) rebuild and no second copy of
-// E_t.
+// only the flipped edges are known, and one branch-free merge pass,
+// merge_on_set, writes the next buffer — no O(n^2) rebuild and no second
+// copy of E_t.  Births arrive as sorted packed keys; deaths through a
+// seam, the merge's death source: TwoStateEdgeMEG marks them by buffer
+// position in a bitmask (DeathMask), the general and heterogeneous
+// engines list them as sorted packed keys (DeathKeys).
 //
 // Also the shared machinery of the *sparse* storage mode (minority-state
 // maps): batched subset sampling over an implicit complement population
@@ -14,8 +17,12 @@
 // state vectors) ordered without ever materializing the majority.
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -26,7 +33,8 @@
 
 namespace megflood {
 
-using OnSet = std::vector<std::pair<NodeId, NodeId>>;
+using Edge = std::pair<NodeId, NodeId>;
+using OnSet = std::vector<Edge>;
 
 // Linear pair index of an entry of a sorted pair population: a packed
 // key (minority maps) or a canonical edge (on-sets).
@@ -35,60 +43,142 @@ inline std::uint64_t entry_pair_index(std::uint64_t n,
   return pair_index_from_key(n, key);
 }
 
-inline std::uint64_t entry_pair_index(
-    std::uint64_t n, const std::pair<NodeId, NodeId>& edge) noexcept {
+inline std::uint64_t entry_pair_index(std::uint64_t n,
+                                      const Edge& edge) noexcept {
   return pair_index_of(n, edge.first, edge.second);
+}
+
+// Death sources of merge_on_set: how the merge learns which on-edges
+// died.  For the on-edge it is looking at (buffer position `pos`, packed
+// key `key`) it asks dead(pos, key), and once per step past an on-edge it
+// calls advance(dead) with that edge's answer.  count() is the number of
+// deaths, which sizes the output on the survivors.
+
+// Deaths as one bit per buffer position: bit pos % 64 of word pos / 64,
+// as TwoStateEdgeMEG's death walk writes them.  `words` covers every
+// on-edge, and `count` is the number of set bits, all of them below
+// on.size().
+class DeathMask {
+ public:
+  DeathMask(const std::vector<std::uint64_t>& words, std::size_t count) noexcept
+      : words_(words.data()), count_(count) {}
+
+  std::size_t count() const noexcept { return count_; }
+  bool dead(std::size_t pos, std::uint64_t /*key*/) const noexcept {
+    return (words_[pos >> 6] >> (pos & 63)) & 1;
+  }
+  void advance(bool /*dead*/) noexcept {}
+
+ private:
+  const std::uint64_t* words_;
+  std::size_t count_;
+};
+
+// Deaths as sorted packed keys, a subset of the on-set, as the general
+// and heterogeneous engines collect them.
+class DeathKeys {
+ public:
+  explicit DeathKeys(const std::vector<std::uint64_t>& keys) noexcept
+      : next_(keys.data()), end_(keys.data() + keys.size()),
+        count_(keys.size()) {}
+
+  std::size_t count() const noexcept { return count_; }
+  bool dead(std::size_t /*pos*/, std::uint64_t key) const noexcept {
+    return next_ != end_ && key == *next_;
+  }
+  void advance(bool dead) noexcept { next_ += dead; }
+
+ private:
+  const std::uint64_t* next_;
+  const std::uint64_t* end_;
+  std::size_t count_;
+};
+
+// An on-set entry as its packed key and back, each one 8-byte move: on
+// a little-endian host the pair's object representation is the key
+// rotated by 32 bits (`first` in the low half).
+static_assert(std::endian::native == std::endian::little &&
+              sizeof(Edge) == sizeof(std::uint64_t) &&
+              std::is_standard_layout_v<Edge>);
+
+inline std::uint64_t edge_key(const Edge& edge) noexcept {
+  std::uint64_t word = 0;
+  std::memcpy(&word, reinterpret_cast<const std::byte*>(&edge), sizeof word);
+  return std::rotl(word, 32);
+}
+
+inline void store_edge_key(Edge* edge, std::uint64_t key) noexcept {
+  const std::uint64_t word = std::rotl(key, 32);
+  std::memcpy(reinterpret_cast<std::byte*>(edge), &word, sizeof word);
 }
 
 // Replaces the snapshot's on-set by (on \ died) ∪ (born \ on) in one
 // linear pass into `scratch`, which is then swapped in (and receives the
-// old buffer's capacity for the next step).  `died` and `born` are sorted
-// packed keys with died ⊆ on.  A born key that is already on adds
-// nothing: a surviving edge is kept once and a dying one still dies
-// (TwoStateEdgeMEG's birth marks may land on any on-pair; a birth decided
-// against the pre-step state needs exactly this).  With no flips the
-// snapshot is left untouched.  Deaths are dropped without a branch:
-// whether an edge died is as unpredictable as the coin that killed it.
-inline void merge_on_set(Snapshot& snapshot,
-                         const std::vector<std::uint64_t>& died,
+// old buffer's capacity for the next step).  `deaths` is a DeathMask or
+// a DeathKeys; `born` holds sorted packed keys.  A born key that is
+// already on adds nothing: a surviving edge is kept once and a dying one
+// still dies (TwoStateEdgeMEG's birth marks may land on any on-pair; a
+// birth decided against the pre-step state needs exactly this).  With no
+// flips the snapshot is left untouched.
+//
+// The pass is a two-pointer merge of the on-edges (a) and the born keys
+// (b) without a data-dependent branch: each round writes the smaller key
+// (a on a tie), advances a if it wrote a, advances b if b's key was not
+// larger, and keeps the write unless it was a dead on-edge.  Which stream
+// is smaller, and whether an edge died, are as unpredictable as the coins
+// behind them.  Once one stream ends, the rest of the other is copied.
+template <typename Deaths>
+inline void merge_on_set(Snapshot& snapshot, Deaths deaths,
                          const std::vector<std::uint64_t>& born,
                          OnSet& scratch) {
-  if (died.empty() && born.empty()) return;
-  // No pair (i < j) packs to this key, so it ends both delta streams.
-  constexpr std::uint64_t kEnd = ~std::uint64_t{0};
+  if (deaths.count() == 0 && born.empty()) return;
   const OnSet& on = snapshot.edge_buffer();
-  // The output fits in on - died + born slots, plus one: a dead edge is
-  // written one past the survivors before `out` skips over it.  Growing
-  // by reallocation would copy stale edges into the new buffer while a
-  // third one is alive; start it empty instead.
-  const std::size_t bound = on.size() - died.size() + born.size() + 1;
-  if (scratch.capacity() < bound) scratch = OnSet();
+  const std::size_t on_size = on.size();
+  const std::size_t born_size = born.size();
+  // The output fits in the survivors and births, plus one: a dead edge
+  // is written one past them before `out` skips over it.  Growing by
+  // reallocation would copy stale edges into the new buffer while a third
+  // one is alive; start it empty instead, with slack so that the size's
+  // step-to-step jitter does not regrow it every few steps (capacity that
+  // is never written is never resident).
+  assert(deaths.count() <= on_size);
+  const std::size_t bound = on_size - deaths.count() + born_size + 1;
+  if (scratch.capacity() < bound) {
+    scratch = OnSet();
+    scratch.reserve(bound + bound / 16);
+  }
   scratch.resize(bound);
-  auto out = scratch.begin();
-  auto d = died.begin();
-  auto b = born.begin();
-  std::uint64_t next_dead = d != died.end() ? *d : kEnd;
-  std::uint64_t next_born = b != born.end() ? *b : kEnd;
-  const auto advance_born = [&] {
-    next_born = ++b != born.end() ? *b : kEnd;
+  const Edge* const on_data = on.data();
+  const std::uint64_t* const born_data = born.data();
+  Edge* out = scratch.data();
+  std::size_t a = 0;
+  std::size_t b = 0;
+  [[maybe_unused]] std::size_t dropped = 0;
+  const auto keep_unless_dead = [&](bool dead) {
+    out += 1 - static_cast<std::size_t>(dead);
+    deaths.advance(dead);
+    dropped += dead;
   };
-  for (const auto& edge : on) {
-    const std::uint64_t key = pack_pair(edge.first, edge.second);
-    for (; next_born < key; advance_born()) {
-      *out++ = {pair_key_i(next_born), pair_key_j(next_born)};
-    }
-    if (next_born == key) advance_born();
-    *out = edge;
-    const bool dead = key == next_dead;
-    out += !dead;
-    d += dead;
-    next_dead = d != died.end() ? *d : kEnd;
+  while (a < on_size && b < born_size) {
+    const std::uint64_t ka = edge_key(on_data[a]);
+    const std::uint64_t kb = born_data[b];
+    const bool take_a = ka <= kb;
+    // take_a ? ka : kb, written so that it compiles to no branch.
+    const std::uint64_t key =
+        kb ^ ((ka ^ kb) & (0 - static_cast<std::uint64_t>(take_a)));
+    store_edge_key(out, key);
+    keep_unless_dead(take_a & deaths.dead(a, ka));
+    a += take_a;
+    b += kb <= ka;
   }
-  for (; next_born != kEnd; advance_born()) {
-    *out++ = {pair_key_i(next_born), pair_key_j(next_born)};
+  for (; a < on_size; ++a) {
+    *out = on_data[a];
+    keep_unless_dead(deaths.dead(a, edge_key(on_data[a])));
   }
-  assert(d == died.end());
-  scratch.erase(out, scratch.end());
+  for (; b < born_size; ++b) store_edge_key(out++, born_data[b]);
+  assert(out < scratch.data() + bound);
+  assert(dropped == deaths.count());
+  scratch.resize(static_cast<std::size_t>(out - scratch.data()));
   snapshot.swap_edges(scratch);
 }
 

@@ -48,6 +48,11 @@ std::uint64_t GeometricSampler::operator()(Rng& rng) const noexcept {
   return static_cast<std::uint64_t>(draw);
 }
 
+BernoulliSampler::BernoulliSampler(double p) noexcept
+    : threshold_(p >= 1.0  ? std::uint64_t{1} << 53
+                 : p > 0.0 ? static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53))
+                           : 0) {}
+
 std::uint64_t Rng::binomial(std::uint64_t n, double p) noexcept {
   if (n == 0 || p <= 0.0) return 0;
   if (p >= 1.0) return n;

@@ -4,6 +4,13 @@
 // processes in megflood.  Every model takes an explicit 64-bit seed so that
 // experiments are reproducible bit-for-bit; we deliberately avoid
 // std::mt19937 to keep cross-platform stream identity trivial to audit.
+//
+// Hot loops that draw many variates at one parameter use the samplers,
+// which hoist the per-parameter work out of the loop and consume the
+// stream exactly as the Rng member they mirror: GeometricSampler computes
+// log1p(-p) once for geometric skipping, BernoulliSampler turns the float
+// coin uniform() < p into an integer compare against a precomputed
+// threshold, which the edge-MEG death walk folds into a bitmask.
 
 #include <cstdint>
 #include <limits>
@@ -123,6 +130,32 @@ class GeometricSampler {
  private:
   bool certain_;  // p >= 1: every draw is 0 and consumes nothing
   double log_q_;  // log1p(-p)
+};
+
+// Rng::bernoulli(p) as an integer comparison, for a run of coins at one
+// p.  uniform() < p is (x >> 11) * 2^-53 < p, and both the conversion of
+// a value below 2^53 and the scaling by 2^-53 are exact, so the test is
+// exactly (x >> 11) < ceil(p * 2^53): the threshold is computed once and
+// every coin costs one draw and one integer compare.  Agrees with
+// rng.bernoulli(p) coin for coin and draw for draw at every p, including
+// p <= 0 or NaN (never) and p >= 1 (always).  accept() takes the raw
+// 64-bit draw, so a caller can fold coins into a bitmask without a branch
+// and a test can feed it chosen bits.
+class BernoulliSampler {
+ public:
+  explicit BernoulliSampler(double p) noexcept;
+
+  // ceil(p * 2^53) clamped to [0, 2^53]: accept iff (bits >> 11) < it.
+  std::uint64_t threshold() const noexcept { return threshold_; }
+
+  bool accept(std::uint64_t bits) const noexcept {
+    return (bits >> 11) < threshold_;
+  }
+
+  bool operator()(Rng& rng) const noexcept { return accept(rng()); }
+
+ private:
+  std::uint64_t threshold_;
 };
 
 // Selects each index in [0, count) independently with probability p and

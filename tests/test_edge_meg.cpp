@@ -80,16 +80,25 @@ TEST(TwoStateEdgeMEG, NoRebirthSameStep) {
 TEST(TwoStateEdgeMEG, MergeDropsBirthMarksOnOnPairs) {
   // The step hands every birth mark to merge_on_set, including marks on
   // pairs that are on: a surviving one is kept once, a dying one dies.
-  Snapshot snap(4);
-  for (const auto& [i, j] : OnSet{{0, 1}, {0, 3}, {1, 2}, {2, 3}}) {
-    snap.add_edge(i, j);
-  }
+  // Both death sources (keys, and a mask over buffer positions 1 and 3)
+  // give the same result.
+  const OnSet start = {{0, 1}, {0, 3}, {1, 2}, {2, 3}};
   const std::vector<std::uint64_t> died = {pack_pair(0, 3), pack_pair(2, 3)};
+  const std::vector<std::uint64_t> died_mask = {0b1010, 0};
   const std::vector<std::uint64_t> born = {pack_pair(0, 2), pack_pair(0, 3),
                                            pack_pair(1, 2), pack_pair(1, 3)};
-  OnSet scratch;
-  merge_on_set(snap, died, born, scratch);
-  EXPECT_EQ(snap.edge_buffer(), (OnSet{{0, 1}, {0, 2}, {1, 2}, {1, 3}}));
+  const OnSet want = {{0, 1}, {0, 2}, {1, 2}, {1, 3}};
+  for (const bool by_mask : {false, true}) {
+    Snapshot snap(4);
+    for (const auto& [i, j] : start) snap.add_edge(i, j);
+    OnSet scratch;
+    if (by_mask) {
+      merge_on_set(snap, DeathMask(died_mask, 2), born, scratch);
+    } else {
+      merge_on_set(snap, DeathKeys(died), born, scratch);
+    }
+    EXPECT_EQ(snap.edge_buffer(), want) << (by_mask ? "mask" : "keys");
+  }
 }
 
 TEST(TwoStateEdgeMEG, ResetReproducesStream) {

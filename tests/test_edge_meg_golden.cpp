@@ -7,7 +7,9 @@
 // pinned across its birth regimes (sparse births many rows apart, dense
 // births several per row, no deaths) and its initializers; its values
 // were recorded when births were converted by pair_from_index and
-// filtered by a binary search over the step's deaths.  Any change to the
+// filtered by a binary search over the step's deaths, except the q = 1,
+// p-and-q-near-1 and mask-word rows, recorded when deaths were collected
+// as packed keys by rng.bernoulli(q).  Any change to the
 // RNG draw order, the transition law or the edge order shows up as a
 // mismatch.
 //
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -172,6 +175,20 @@ std::vector<Case> two_state_cases() {
        two_state(kN, 0.05, 0.3, EdgeMegInit::kAllOff), 0},
       {"two_state/init_on", two_state(kN, 0.05, 0.3, EdgeMegInit::kAllOn),
        0},
+      // Every on-edge dies every step.
+      {"two_state/q1", two_state(kN, 0.05, 1.0), 0},
+      // Most pairs flip every step, so most birth marks land on pairs
+      // that are on and dying.
+      {"two_state/p_q_near_1", two_state(kN, 0.9, 0.95), 0},
+      // On-sets around the 64-bit word boundaries of the death mask:
+      // a single pair, and slow decay from the complete graph on 12
+      // (66 pairs) and 17 nodes (136 pairs) through 65, 64, 63 and 128
+      // (EdgeMegGolden.WordCasesCrossMaskBoundaries checks the sizes).
+      {"two_state/words_1", two_state(2, 0.5, 0.5, EdgeMegInit::kAllOn), 0},
+      {"two_state/words_66",
+       two_state(12, 0.001, 0.01, EdgeMegInit::kAllOn), 0},
+      {"two_state/words_136",
+       two_state(17, 0.001, 0.003, EdgeMegInit::kAllOn), 0},
   };
 }
 
@@ -198,6 +215,11 @@ std::vector<Case> golden_cases() {
       0x6c5261168b15804c,  // two_state/q0
       0xc44fb104477b5404,  // two_state/init_off
       0x7c3d3caf62b7924f,  // two_state/init_on
+      0xec5c50a8b4f22269,  // two_state/q1
+      0xd2213ff4d6808e9a,  // two_state/p_q_near_1
+      0x322939415685a7c5,  // two_state/words_1
+      0x367947bcb4241c4b,  // two_state/words_66
+      0xab579d05ea5dc582,  // two_state/words_136
   };
   EXPECT_EQ(cases.size(), std::size(golden));
   for (std::size_t k = 0; k < cases.size() && k < std::size(golden); ++k) {
@@ -211,6 +233,24 @@ TEST(EdgeMegGolden, EdgeBufferStreamsMatchPinnedHashes) {
     const auto model = c.make();
     const std::uint64_t h = stream_hash(*model);
     EXPECT_EQ(h, c.golden) << c.name << ": got 0x" << std::hex << h;
+  }
+}
+
+TEST(EdgeMegGolden, WordCasesCrossMaskBoundaries) {
+  // Guards the golden table: the words_* streams must really pass through
+  // on-set sizes at the 64-bit mask word boundaries.
+  std::set<std::size_t> seen;
+  for (const Case& c : golden_cases()) {
+    if (!c.name.starts_with("two_state/words_")) continue;
+    const auto model = c.make();
+    seen.insert(model->snapshot().num_edges());
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      model->step();
+      seen.insert(model->snapshot().num_edges());
+    }
+  }
+  for (const std::size_t size : {1, 63, 64, 65, 127, 128, 129}) {
+    EXPECT_TRUE(seen.contains(size)) << "no step with " << size << " edges";
   }
 }
 

@@ -122,6 +122,53 @@ TEST(Rng, BernoulliExtremes) {
   }
 }
 
+TEST(Rng, BernoulliSamplerMatchesBernoulliAtThresholdBoundaries) {
+  // The integer coin (bits >> 11) < ceil(q * 2^53) must make the float
+  // coin's decision uniform() < q at every 53-bit value, so check it at
+  // both ends of the range and on both sides of the threshold, for q at
+  // 0, the smallest subnormal, exact multiples of 2^-53, the death rates
+  // the engines use, just below 1 and 1.  The low 11 bits are ignored.
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 53) - 1;
+  for (const double q : {0.0, 5e-324, 0x1.0p-53, 3 * 0x1.0p-53, 0.3, 0.5,
+                         1.0 - 0x1.0p-53, 1.0}) {
+    const BernoulliSampler coin(q);
+    const std::uint64_t t = coin.threshold();
+    ASSERT_LE(t, kTop + 1) << "q = " << q;
+    std::vector<std::uint64_t> values = {0, t, t + 1, kTop};
+    if (t > 0) values.push_back(t - 1);
+    for (const std::uint64_t value : values) {
+      if (value > kTop) continue;
+      for (const std::uint64_t low : {std::uint64_t{0}, std::uint64_t{0x7ff}}) {
+        const std::uint64_t bits = (value << 11) | low;
+        const bool want = static_cast<double>(bits >> 11) * 0x1.0p-53 < q;
+        EXPECT_EQ(coin.accept(bits), want)
+            << "q = " << q << " value = " << value;
+      }
+    }
+  }
+  // Exact multiples of 2^-53 pin the threshold itself: q = k * 2^-53
+  // accepts exactly the values below k.
+  EXPECT_EQ(BernoulliSampler(0x1.0p-53).threshold(), 1u);
+  EXPECT_EQ(BernoulliSampler(3 * 0x1.0p-53).threshold(), 3u);
+  EXPECT_EQ(BernoulliSampler(5e-324).threshold(), 1u);
+  EXPECT_EQ(BernoulliSampler(0.0).threshold(), 0u);
+  EXPECT_EQ(BernoulliSampler(1.0).threshold(), kTop + 1);
+}
+
+TEST(Rng, BernoulliSamplerMatchesBernoulliOnTheStream) {
+  // Draw for draw against rng.bernoulli(q): the same coins, and the two
+  // generators end in the same state.
+  for (const double q : {0.0, 5e-324, 0x1.0p-53, 3 * 0x1.0p-53, 0.3, 0.5,
+                         1.0 - 0x1.0p-53, 1.0}) {
+    Rng a(41), b(41);
+    const BernoulliSampler coin(q);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) mismatches += coin(a) != b.bernoulli(q);
+    EXPECT_EQ(mismatches, 0u) << "q = " << q;
+    EXPECT_EQ(a(), b()) << "q = " << q;
+  }
+}
+
 TEST(Rng, GeometricMeanMatches) {
   Rng rng(15);
   const double p = 0.2;
