@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/bitwords.hpp"
+#include "core/fixed_graphs.hpp"
 #include "core/flooding.hpp"
 #include "geometry/square_grid.hpp"
 #include "graph/builders.hpp"
@@ -26,15 +27,22 @@ namespace megflood {
 namespace {
 
 void BM_EdgeMegStepSparse(benchmark::State& state) {
+  // The sparse regime flooding runs in: stationary edge probability
+  // alpha = 4/n (about 2n live edges), q = 0.3, p = alpha q / (1 - alpha).
   const auto n = static_cast<std::size_t>(state.range(0));
-  TwoStateEdgeMEG meg(n, {2.0 / static_cast<double>(n * n), 0.2}, 1);
+  const double alpha = 4.0 / static_cast<double>(n);
+  const double q = 0.3;
+  TwoStateEdgeMEG meg(n, {alpha * q / (1.0 - alpha), q}, 1);
   for (auto _ : state) {
     meg.step();
     benchmark::DoNotOptimize(meg.snapshot().num_edges());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["edges"] =
+      benchmark::Counter(static_cast<double>(meg.snapshot().num_edges()));
 }
-BENCHMARK(BM_EdgeMegStepSparse)->Arg(256)->Arg(1024)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_EdgeMegStepSparse)->Arg(4096)->Arg(65536)->Arg(1 << 20)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_EdgeMegStepDense(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -234,6 +242,7 @@ void BM_FloodRoundWords(benchmark::State& state) {
   TwoStateEdgeMEG meg(n, {4.0 / static_cast<double>(n), 0.3}, 1);
   Snapshot snap = meg.snapshot();
   std::vector<std::pair<NodeId, NodeId>> spare;
+  const std::vector<std::uint64_t> none(bit_words(n), 0);
   std::vector<std::uint64_t> cur(bit_words(n), 0), next;
   for (std::size_t i = 0; i < n; i += 4) set_bit(cur.data(), i);
   for (auto _ : state) {
@@ -244,7 +253,8 @@ void BM_FloodRoundWords(benchmark::State& state) {
     next = cur;
     benchmark::DoNotOptimize(
         mode == 0 ? flood_round_edges(snap, cur.data(), next.data(), n)
-                  : flood_round_rows(snap, cur.data(), next.data(), n));
+                  : flood_round_rows(snap, none.data(), cur.data(),
+                                     next.data(), n));
   }
   state.SetLabel(mode == 0 ? "edges" : mode == 1 ? "rows+csr" : "rows");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -252,6 +262,24 @@ void BM_FloodRoundWords(benchmark::State& state) {
 }
 BENCHMARK(BM_FloodRoundWords)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_FloodFixed(benchmark::State& state) {
+  // flood() from node 0 on a fixed topology: round 0 scans the edges,
+  // every later round the CSR rows of the frontier (the CSR is built
+  // once and stays cached across iterations).  Arg 0 = 256-cycle (128
+  // rounds), 1 = 256 x 256 torus (256 rounds).
+  const bool torus = state.range(0) == 1;
+  FixedDynamicGraph graph(torus ? torus_2d(256) : cycle_graph(256));
+  std::uint64_t rounds = 0;
+  for (auto _ : state) {
+    const FloodResult r = flood(graph, 0, std::uint64_t{1} << 20);
+    rounds = r.rounds;
+    benchmark::DoNotOptimize(r.rounds);
+  }
+  state.SetLabel(torus ? "torus 256x256" : "cycle 256");
+  state.counters["rounds"] = benchmark::Counter(static_cast<double>(rounds));
+}
+BENCHMARK(BM_FloodFixed)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_FloodAllSources(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

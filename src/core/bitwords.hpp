@@ -36,20 +36,6 @@ inline std::size_t popcount_words(const std::uint64_t* words,
   return total;
 }
 
-// Calls fn(index) for every set bit, in increasing index order.
-template <typename Fn>
-inline void for_each_set_bit(const std::uint64_t* words, std::size_t count,
-                             Fn&& fn) {
-  for (std::size_t w = 0; w < count; ++w) {
-    std::uint64_t bits = words[w];
-    while (bits != 0) {
-      const auto b = static_cast<std::size_t>(std::countr_zero(bits));
-      fn(w * kBitWordBits + b);
-      bits &= bits - 1;
-    }
-  }
-}
-
 // dst[w] |= src[w] over a word range — the all-sources flood applies this
 // per snapshot edge, restricted to one worker's word-column block.
 inline void or_words(std::uint64_t* dst, const std::uint64_t* src,
@@ -59,8 +45,9 @@ inline void or_words(std::uint64_t* dst, const std::uint64_t* src,
 
 // Calls fn(index) for every bit set in `next` but not in `cur`, in
 // increasing index order, offsetting indices by `base_bit` (the first bit
-// of the word range being scanned).  The all-sources flood uses it to
-// turn a word-column delta into per-source counter updates.
+// of the word range being scanned).  flood() uses it to walk the frontier
+// I_t \ I_{t-1}; the all-sources flood, to turn a word-column delta into
+// per-source counter updates.
 template <typename Fn>
 inline void for_each_fresh_bit(const std::uint64_t* cur,
                                const std::uint64_t* next, std::size_t count,

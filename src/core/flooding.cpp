@@ -15,11 +15,11 @@ namespace megflood {
 
 std::size_t flood_round(const Snapshot& snapshot, std::vector<char>& informed,
                         std::vector<NodeId>& frontier) {
-  // The flooding rule informs every node adjacent to *any* informed node,
-  // but a node interior to the informed set (all neighbors informed) can
-  // never inform anyone new; scanning only the informed set is exact and
-  // keeping a frontier would not be (edges change every step, so old
-  // informed nodes can meet new neighbors).  We scan all informed nodes.
+  // The flooding rule informs every node adjacent to *any* informed node.
+  // Scanning only the nodes informed last round (a frontier) is exact
+  // exactly when the previous round ran on the same edges; here E_t may
+  // differ from E_{t-1}, so old informed nodes can meet new neighbors,
+  // and we scan all informed nodes.
   std::size_t newly = 0;
   frontier.clear();
   const auto [offsets, adjacency] = snapshot.csr();
@@ -68,12 +68,13 @@ std::size_t flood_round_edges(const Snapshot& snapshot,
 }
 
 std::size_t flood_round_rows(const Snapshot& snapshot,
+                             const std::uint64_t* prev,
                              const std::uint64_t* cur, std::uint64_t* next,
                              std::size_t num_nodes) {
   const std::size_t words = bit_words(num_nodes);
   const std::size_t before = popcount_words(next, words);
   const auto [offsets, adjacency] = snapshot.csr();
-  for_each_set_bit(cur, words, [&](std::size_t u) {
+  for_each_fresh_bit(prev, cur, words, 0, [&](std::size_t u) {
     const NodeId* row = adjacency + offsets[u];
     const NodeId* const row_end = adjacency + offsets[u + 1];
     for (; row != row_end; ++row) set_bit(next, *row);
@@ -87,7 +88,7 @@ FloodResult flood(DynamicGraph& graph, NodeId source, std::uint64_t max_rounds) 
 
   FloodResult result;
   const std::size_t words = bit_words(n);
-  std::vector<std::uint64_t> cur(words, 0), next(words, 0);
+  std::vector<std::uint64_t> prev(words, 0), cur(words, 0), next(words, 0);
   set_bit(cur.data(), source);
   std::size_t informed_count = 1;
   result.informed_counts.push_back(informed_count);
@@ -98,18 +99,23 @@ FloodResult flood(DynamicGraph& graph, NodeId source, std::uint64_t max_rounds) 
     return result;
   }
 
-  // The snapshot of the previous round, to recognise a reused topology.
-  const Snapshot* last = nullptr;
+  // prev = I_{t-1}, cur = I_t.  When E_t is the edge set the previous
+  // round read, N(I_{t-1}) is already in I_t, so the round needs only the
+  // rows of the frontier I_t \ I_{t-1}.  Identity 0 is never drawn, so
+  // round 0 scans the edges.
+  std::uint64_t last_identity = 0;
   std::uint64_t last_version = 0;
   for (std::uint64_t t = 0; t < max_rounds; ++t) {
     const Snapshot& snap = graph.snapshot();
-    const bool reused = &snap == last && snap.version() == last_version;
+    const bool held =
+        snap.identity() == last_identity && snap.version() == last_version;
     next = cur;
-    informed_count += reused
-                          ? flood_round_rows(snap, cur.data(), next.data(), n)
-                          : flood_round_edges(snap, cur.data(), next.data(), n);
-    last = &snap;
+    informed_count +=
+        held ? flood_round_rows(snap, prev.data(), cur.data(), next.data(), n)
+             : flood_round_edges(snap, cur.data(), next.data(), n);
+    last_identity = snap.identity();
     last_version = snap.version();
+    std::swap(prev, cur);
     std::swap(cur, next);
     result.informed_counts.push_back(informed_count);
     graph.step();

@@ -12,11 +12,14 @@
 // single-source round reads the snapshot's edge buffer — the form in which
 // every model produces E_t — and ORs each endpoint's informed bit into the
 // other's, so a flood on a model that changes E_t every step never builds
-// the CSR view.  Only when the snapshot is the same object, unmodified
-// since the previous round (a fixed or settled topology), does flood()
-// scan the informed nodes' CSR rows instead: the view is then built once
-// and amortised, and an informed-row scan touches less than a full edge
-// scan.  The CSR otherwise serves the neighbour-list protocols (gossip,
+// the CSR view.  When the snapshot holds the edge set the previous round
+// read (same Snapshot::identity() and version(): a fixed topology, or a
+// script holding its last snapshot), flooding is synchronous BFS:
+// N(I_{t-1}) is already in I_t, so I_{t+1} = I_t ∪ N(I_t \ I_{t-1}) and
+// flood() scans only the CSR rows of the frontier I_t \ I_{t-1}.  The
+// view is built once and each row is scanned once per trial, next to
+// O(n/64) word operations a round, instead of every informed row every
+// round.  The CSR otherwise serves the neighbour-list protocols (gossip,
 // k-push, radio).  The all-sources variant keeps the n x n reachability
 // matrix as bit-rows (row[v] = sources that have reached v) and updates
 // it with two word-wide ORs per snapshot edge — ~64x less scalar work
@@ -41,9 +44,10 @@ struct FloodResult {
 
 // Runs flooding from `source` on `graph` starting at the graph's current
 // snapshot.  Advances the graph `rounds` times; the caller owns resetting
-// the graph between trials.  Picks flood_round_rows for a round whose
-// snapshot is the previous round's object at the same Snapshot::version()
-// and flood_round_edges otherwise; both give the same result.
+// the graph between trials.  A round whose snapshot has the previous
+// round's Snapshot::identity() and version() scans the frontier's rows
+// with flood_round_rows; any other round scans the edges with
+// flood_round_edges.  Both give I_{t+1} exactly.
 FloodResult flood(DynamicGraph& graph, NodeId source, std::uint64_t max_rounds);
 
 // One flooding round applied to an explicit informed set: returns the
@@ -52,16 +56,19 @@ FloodResult flood(DynamicGraph& graph, NodeId source, std::uint64_t max_rounds);
 std::size_t flood_round(const Snapshot& snapshot, std::vector<char>& informed,
                         std::vector<NodeId>& frontier);
 
-// Word-packed flooding rounds: `cur` and `next` are bit sets of
-// bit_words(n) words; on entry next must equal cur.  Each computes
-// I_{t+1} = I_t ∪ N(I_t) into `next` and returns |I_{t+1}| - |I_t|; the
-// two differ only in how they read E_t.  flood_round_edges scans the
-// edge buffer (O(|E_t|), no CSR); flood_round_rows scans the CSR rows of
-// the informed nodes (builds the CSR if it is not cached).
+// Word-packed flooding rounds over bit sets of bit_words(n) words.  Each
+// ORs N(S) for a scanned set S into `next` and returns the number of bits
+// it turned on; `next` ⊇ S on entry.  flood_round_edges scans the edge
+// buffer with S = cur (O(|E_t|), no CSR).  flood_round_rows scans the
+// CSR rows of S = cur \ prev (builds the CSR if it is not cached): with
+// an empty `prev` and next = cur = I_t it computes I_t ∪ N(I_t); with
+// prev = I_{t-1} and cur = I_t it is the frontier round, which gives the
+// same I_{t+1} only if I_t was computed from I_{t-1} on the same edges.
 std::size_t flood_round_edges(const Snapshot& snapshot,
                               const std::uint64_t* cur, std::uint64_t* next,
                               std::size_t num_nodes);
 std::size_t flood_round_rows(const Snapshot& snapshot,
+                             const std::uint64_t* prev,
                              const std::uint64_t* cur, std::uint64_t* next,
                              std::size_t num_nodes);
 

@@ -1,10 +1,20 @@
 #include "core/snapshot.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <stdexcept>
 
 namespace megflood {
+
+std::uint64_t Snapshot::Identity::draw() noexcept {
+  // A deliberate process-wide counter: snapshots are built on many
+  // threads and an identity must never repeat, so it cannot be passed
+  // in.  Identities never reach results or campaign keys.
+  // megflood-lint: allow(mutable-global)
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1);
+}
 
 void Snapshot::reset(std::size_t num_nodes) {
   num_nodes_ = num_nodes;

@@ -13,8 +13,8 @@
 // model that changes E_t every step never pays for the CSR under a
 // flood.  The CSR serves the neighbour-list consumers (gossip, k-push,
 // radio) and topologies that stay unchanged over many rounds, where one
-// build is amortised; version() tells a consumer whether that is the
-// case.
+// build is amortised; identity() and version() tell a consumer whether
+// that is the case.
 //
 // The CSR fill pass walks the edge buffer in insertion order, so each
 // node's neighbor list is exactly the sequence of push_backs the old
@@ -70,12 +70,16 @@ class Snapshot {
     touch();
   }
 
-  // Mutation counter: bumped by every clear()/reset()/add_edge()/
-  // swap_edges().  The same snapshot object at an unchanged version holds
-  // the same edge set, so a consumer can tell a reused topology from a
-  // fresh one.  A copy carries its source's version, so the counter is a
-  // hint for choosing a strategy, never a substitute for reading the
-  // edges: csr() and edge_buffer() always reflect the current edge set.
+  // Together, identity() and version() name the edge set: a snapshot
+  // whose (identity(), version()) pair is unchanged holds the same edges.
+  // identity() is drawn fresh from a process-wide counter (never 0) when
+  // the snapshot is constructed, copied or moved — constructor or
+  // assignment, both sides of a move, self-assignment included — and
+  // never by a mutator.  version() counts mutations: every clear()/
+  // reset()/add_edge()/swap_edges() bumps it, and a copy carries its
+  // source's count.  flood() relies on this guarantee: on a held edge set
+  // it scans only the newly informed nodes.
+  std::uint64_t identity() const noexcept { return identity_.value(); }
   std::uint64_t version() const noexcept { return version_; }
 
   // Neighbor list of v in insertion order.  The span is invalidated by the
@@ -110,6 +114,31 @@ class Snapshot {
   }
 
  private:
+  // A value renewed on every construction, copy and move of its owner, so
+  // Snapshot's defaulted copy and move members renew identity().
+  class Identity {
+   public:
+    Identity() noexcept : value_(draw()) {}
+    Identity(const Identity&) noexcept : value_(draw()) {}
+    Identity(Identity&& other) noexcept : value_(draw()) {
+      other.value_ = draw();
+    }
+    Identity& operator=(const Identity&) noexcept {
+      value_ = draw();
+      return *this;
+    }
+    Identity& operator=(Identity&& other) noexcept {
+      value_ = draw();
+      other.value_ = draw();
+      return *this;
+    }
+    std::uint64_t value() const noexcept { return value_; }
+
+   private:
+    static std::uint64_t draw() noexcept;
+    std::uint64_t value_;
+  };
+
   void ensure_csr() const;
   void touch() noexcept {
     ++version_;
@@ -123,6 +152,7 @@ class Snapshot {
 
   std::size_t num_nodes_ = 0;
   std::vector<std::pair<NodeId, NodeId>> edges_;
+  Identity identity_;
   std::uint64_t version_ = 0;
 
   // Lazily built CSR view; mutable because building it on first query is

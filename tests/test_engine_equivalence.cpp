@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -125,6 +127,17 @@ TEST(EngineEquivalence, RandomWalkFloodTrajectories) {
   for (std::uint64_t seed : kSeeds) expect_flood_equivalence(model, seed);
 }
 
+// One word round over the whole informed set `cur`: the edge scan, or
+// the row scan with nothing excluded.
+std::size_t full_word_round(bool rows, const Snapshot& snap,
+                            const std::vector<std::uint64_t>& cur,
+                            std::vector<std::uint64_t>& next) {
+  const std::size_t n = snap.num_nodes();
+  if (!rows) return flood_round_edges(snap, cur.data(), next.data(), n);
+  const std::vector<std::uint64_t> none(cur.size(), 0);
+  return flood_round_rows(snap, none.data(), cur.data(), next.data(), n);
+}
+
 TEST(EngineEquivalence, WordRoundMatchesByteRound) {
   // Both word rounds against the byte-array flood_round on one snapshot.
   TwoStateEdgeMEG meg(96, {0.05, 0.2}, 5);
@@ -135,9 +148,9 @@ TEST(EngineEquivalence, WordRoundMatchesByteRound) {
   for (NodeId u = 0; u < 96; u += 7) set_bit(cur.data(), u);
   std::vector<NodeId> scratch;
   const std::size_t newly_bytes = flood_round(snap, informed, scratch);
-  for (const auto round : {&flood_round_edges, &flood_round_rows}) {
+  for (const bool rows : {false, true}) {
     std::vector<std::uint64_t> next = cur;
-    EXPECT_EQ(round(snap, cur.data(), next.data(), 96), newly_bytes);
+    EXPECT_EQ(full_word_round(rows, snap, cur, next), newly_bytes);
     for (NodeId v = 0; v < 96; ++v) {
       EXPECT_EQ(test_bit(next.data(), v), informed[v] != 0) << "node " << v;
     }
@@ -167,10 +180,100 @@ Snapshot reversed_path(std::size_t n) {
   return snap;
 }
 
+// A producer with one snapshot member that, step by step, holds it,
+// mutates it in place, or replaces it by copy assignment, move assignment
+// or re-construction at the same address with a different edge set of the
+// same mutation count.  A replacement leaves the member at the same
+// address and version() over other edges: flood() must read it as a
+// changed topology, never as a held one.
+class ReplacingDynamicGraph final : public DynamicGraph {
+ public:
+  enum class Op {
+    kHold,
+    kAddEdge,
+    kSwapEdges,
+    kCopyAssign,
+    kMoveAssign,
+    kRecreate
+  };
+
+  ReplacingDynamicGraph(std::size_t n, std::vector<Op> ops)
+      : n_(n), ops_(std::move(ops)), rng_(0) {
+    reset(0);
+  }
+
+  std::size_t num_nodes() const override { return n_; }
+  const Snapshot& snapshot() const override { return *snap_; }
+
+  void step() override {
+    const std::uint64_t version = snap_->version();
+    switch (ops_[time() % ops_.size()]) {
+      case Op::kHold:
+        break;
+      case Op::kAddEdge: {
+        NodeId u = 0;
+        NodeId v = 0;
+        do {
+          u = static_cast<NodeId>(rng_.uniform_int(n_));
+          v = static_cast<NodeId>(rng_.uniform_int(n_));
+        } while (u == v || snap_->has_edge(u, v));
+        snap_->add_edge(u, v);
+        break;
+      }
+      case Op::kSwapEdges: {
+        auto edges = random_snapshot(n_, kEdges, rng_).edge_buffer();
+        snap_->swap_edges(edges);
+        break;
+      }
+      case Op::kCopyAssign: {
+        const Snapshot other = replacement(version);
+        *snap_ = other;
+        break;
+      }
+      case Op::kMoveAssign: {
+        Snapshot other = replacement(version);
+        *snap_ = std::move(other);
+        break;
+      }
+      case Op::kRecreate:
+        snap_.emplace(replacement(version));
+        break;
+    }
+    advance_clock();
+  }
+
+  void reset(std::uint64_t seed) override {
+    rng_ = Rng(seed);
+    snap_.emplace(reversed_path(n_));
+    reset_clock();
+  }
+
+ private:
+  static constexpr std::size_t kEdges = 60;
+
+  // kEdges random pairs at exactly `version` mutations (clear() pads the
+  // count); a copy or move carries the count into the member.
+  Snapshot replacement(std::uint64_t version) {
+    Snapshot snap(n_);
+    while (snap.version() + kEdges < version) snap.clear();
+    const Snapshot edges = random_snapshot(n_, kEdges, rng_);
+    for (const auto& [u, v] : edges.edge_buffer()) snap.add_edge(u, v);
+    if (snap.version() != version) {
+      throw std::logic_error("replacement: version below kEdges");
+    }
+    return snap;
+  }
+
+  std::size_t n_;
+  std::vector<Op> ops_;
+  Rng rng_;
+  std::optional<Snapshot> snap_;
+};
+
 TEST(EngineEquivalence, FloodKernelsAgreeOnNonCanonicalSnapshots) {
   // The edge scan, the CSR row scan, the byte-array round and the
-  // reference round on random informed sets, for n on and off a
-  // multiple of 64.
+  // reference round on random informed sets, then the frontier row scan
+  // on the round after, for n on and off a multiple of 64.
   Rng rng(41);
   for (const std::size_t n : {2, 3, 63, 64, 65, 100, 130}) {
     for (int rep = 0; rep < 20; ++rep) {
@@ -190,9 +293,9 @@ TEST(EngineEquivalence, FloodKernelsAgreeOnNonCanonicalSnapshots) {
       const std::size_t want = reference::ref_flood_round(ref, ref_informed);
       ASSERT_EQ(flood_round(snap, informed, scratch), want);
       ASSERT_EQ(informed, ref_informed);
-      for (const auto round : {&flood_round_edges, &flood_round_rows}) {
+      for (const bool rows : {false, true}) {
         std::vector<std::uint64_t> next = cur;
-        ASSERT_EQ(round(snap, cur.data(), next.data(), n), want) << "n " << n;
+        ASSERT_EQ(full_word_round(rows, snap, cur, next), want) << "n " << n;
         for (NodeId v = 0; v < n; ++v) {
           ASSERT_EQ(test_bit(next.data(), v), ref_informed[v] != 0)
               << "n " << n << " node " << v;
@@ -202,14 +305,27 @@ TEST(EngineEquivalence, FloodKernelsAgreeOnNonCanonicalSnapshots) {
           ASSERT_FALSE(test_bit(next.data(), v)) << "n " << n;
         }
       }
+      // The frontier round: from I_1 = I_0 u N(I_0) on the same edges,
+      // scanning the rows of I_1 \ I_0 alone gives I_2.
+      std::vector<std::uint64_t> mid = cur;
+      flood_round_edges(snap, cur.data(), mid.data(), n);
+      std::vector<std::uint64_t> next = mid;
+      const std::size_t want2 = reference::ref_flood_round(ref, ref_informed);
+      ASSERT_EQ(flood_round_rows(snap, cur.data(), mid.data(), next.data(), n),
+                want2)
+          << "n " << n;
+      for (NodeId v = 0; v < n; ++v) {
+        ASSERT_EQ(test_bit(next.data(), v), ref_informed[v] != 0)
+            << "n " << n << " node " << v;
+      }
     }
   }
 }
 
 TEST(EngineEquivalence, FloodSwitchesToRowScanWhenScriptHolds) {
   // Four fresh random snapshots (edge scan), then the script holds a
-  // reversed path, the same unmodified object every round (row scan):
-  // the trajectory must match the reference across the switch.
+  // reversed path, the same unmodified object every round (frontier row
+  // scan): the trajectory must match the reference across the switch.
   constexpr std::size_t n = 100;
   Rng rng(43);
   std::vector<Snapshot> script;
@@ -230,7 +346,7 @@ TEST(EngineEquivalence, FloodSwitchesToRowScanWhenScriptHolds) {
 
 TEST(EngineEquivalence, FloodOnFixedGraphMatchesReference) {
   // A fixed topology: the first round scans edges, every later one the
-  // cached CSR rows.
+  // cached CSR rows of the frontier.
   for (const std::size_t n : {65, 100}) {
     FixedDynamicGraph fixed(cycle_graph(n));
     const std::vector<reference::RefSnapshot> ref_trace = {
@@ -243,6 +359,34 @@ TEST(EngineEquivalence, FloodOnFixedGraphMatchesReference) {
       EXPECT_EQ(got.informed_counts,
                 reference::ref_flood_counts(ref_trace, source, n, n))
           << "n " << n << " source " << source;
+    }
+  }
+}
+
+
+TEST(EngineEquivalence, FloodTellsHeldFromReplacedSnapshots) {
+  // Held rounds around every kind of change, so flood() alternates
+  // between frontier rounds and edge scans; the trajectory must match the
+  // reference replaying the same snapshots.
+  using Op = ReplacingDynamicGraph::Op;
+  constexpr std::size_t n = 100;
+  constexpr std::uint64_t kRounds = 2 * n;
+  ReplacingDynamicGraph graph(
+      n, {Op::kHold, Op::kHold, Op::kCopyAssign, Op::kHold, Op::kHold,
+          Op::kAddEdge, Op::kHold, Op::kMoveAssign, Op::kHold, Op::kHold,
+          Op::kSwapEdges, Op::kHold, Op::kRecreate, Op::kHold});
+  for (const std::uint64_t seed : kSeeds) {
+    graph.reset(seed);
+    std::vector<reference::RefSnapshot> trace;
+    for (std::uint64_t t = 0; t <= kRounds; ++t) {
+      trace.push_back(reference::RefSnapshot::from(graph.snapshot()));
+      graph.step();
+    }
+    for (const NodeId source : {NodeId{0}, NodeId{37}, NodeId{99}}) {
+      graph.reset(seed);
+      EXPECT_EQ(flood(graph, source, kRounds).informed_counts,
+                reference::ref_flood_counts(trace, source, n, kRounds))
+          << "seed " << seed << " source " << source;
     }
   }
 }

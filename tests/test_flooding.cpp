@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "core/fixed_graphs.hpp"
 #include "core/flooding.hpp"
 #include "graph/algorithms.hpp"
@@ -113,6 +116,75 @@ TEST(Flood, MissedEdgeDelaysSpread) {
   const FloodResult r = flood(d, 0, 10);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.rounds, 4u);
+}
+
+// The induced subgraph of `g` on vertices [0, n).  A row-major prefix of
+// a side x side grid-family graph holds whole rows plus the start of one
+// more, so it stays connected.
+Graph prefix_graph(const Graph& g, std::size_t n) {
+  Graph prefix(n);
+  for (const auto& [u, v] : g.edges()) {
+    if (v < n) prefix.add_edge(u, v);  // edges() lists u < v
+  }
+  return prefix;
+}
+
+// A path on [0, n/2) and a cycle on [n/2, n): flooding never completes.
+Graph two_components(std::size_t n) {
+  Graph g = prefix_graph(path_graph(n / 2), n);
+  const Graph cycle = cycle_graph(n - n / 2);
+  for (const auto& [u, v] : cycle.edges()) {
+    g.add_edge(static_cast<VertexId>(u + n / 2),
+               static_cast<VertexId>(v + n / 2));
+  }
+  return g;
+}
+
+TEST(Flood, MatchesBfsFromEverySource) {
+  // On a fixed graph flooding is synchronous BFS: |I_t| is the number of
+  // nodes within distance t of the source, and F(G, s) is the source's
+  // eccentricity.  The oracle is graph/algorithms' BFS; the sizes sit on
+  // and around the 64-bit word boundaries of the informed sets.
+  struct Topology {
+    const char* name;
+    Graph graph;
+    bool connected;
+  };
+  for (const std::size_t n : {2, 63, 64, 65, 257}) {
+    std::size_t side = 3;  // torus_2d needs side >= 3
+    while (side * side < n) ++side;
+    const Topology topologies[] = {
+        {"path", path_graph(n), true},
+        {"cycle", cycle_graph(n), true},
+        {"grid", prefix_graph(grid_2d(side), n), true},
+        {"torus", prefix_graph(torus_2d(side), n), true},
+        {"star", star_graph(n), true},
+        {"complete", complete_graph(n), true},
+        {"k_augmented_grid", prefix_graph(k_augmented_grid(side, 3), n), true},
+        {"two components", two_components(n), false}};
+    const std::uint64_t budget = n + 2;
+    for (const Topology& topology : topologies) {
+      const Graph& g = topology.graph;
+      FixedDynamicGraph d(g);
+      for (VertexId s = 0; s < n; ++s) {
+        // within[t] = #{v : dist(s, v) <= t}, for t = 0 .. budget.
+        std::vector<std::size_t> within(budget + 1, 0);
+        for (const std::uint32_t dist : bfs_distances(g, s)) {
+          if (dist != kUnreachable) ++within[dist];
+        }
+        std::partial_sum(within.begin(), within.end(), within.begin());
+        const FloodResult r = flood(d, s, budget);
+        ASSERT_EQ(r.completed, topology.connected)
+            << topology.name << " n " << n << " source " << s;
+        ASSERT_EQ(r.rounds, topology.connected ? eccentricity(g, s) : budget)
+            << topology.name << " n " << n << " source " << s;
+        ASSERT_EQ(r.informed_counts,
+                  std::vector<std::size_t>(within.begin(),
+                                           within.begin() + r.rounds + 1))
+            << topology.name << " n " << n << " source " << s;
+      }
+    }
+  }
 }
 
 TEST(FloodRound, ReportsNewlyInformed) {

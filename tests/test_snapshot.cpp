@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/fixed_graphs.hpp"
 #include "core/snapshot.hpp"
 #include "graph/builders.hpp"
@@ -50,6 +54,100 @@ TEST(Snapshot, EdgesCanonical) {
   const auto edges = s.edges();
   EXPECT_EQ(edges.size(), 2u);
   for (const auto& [u, v] : edges) EXPECT_LT(u, v);
+}
+
+TEST(Snapshot, CopiesAndMovesGetNewIdentities) {
+  Snapshot a(4);
+  a.add_edge(0, 1);
+  EXPECT_NE(a.identity(), 0u);
+  const std::uint64_t id = a.identity();
+
+  const Snapshot copy(a);
+  EXPECT_NE(copy.identity(), id);
+  EXPECT_EQ(copy.version(), a.version());  // a copy carries the count
+  EXPECT_EQ(a.identity(), id);             // copying leaves the source
+
+  Snapshot assigned(4);
+  const std::uint64_t assigned_id = assigned.identity();
+  assigned = a;
+  EXPECT_NE(assigned.identity(), assigned_id);
+  EXPECT_NE(assigned.identity(), id);
+  EXPECT_EQ(assigned.edge_buffer(), a.edge_buffer());
+
+  // Both sides of a move get new identities: the source's edges changed.
+  Snapshot source(a);
+  std::uint64_t source_id = source.identity();
+  const Snapshot moved(std::move(source));
+  EXPECT_NE(moved.identity(), source_id);
+  EXPECT_NE(source.identity(), source_id);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.edge_buffer(), a.edge_buffer());
+
+  Snapshot move_assigned(4);
+  const std::uint64_t move_assigned_id = move_assigned.identity();
+  source = a;
+  source_id = source.identity();
+  move_assigned = std::move(source);
+  EXPECT_NE(move_assigned.identity(), move_assigned_id);
+  EXPECT_NE(move_assigned.identity(), source_id);
+  EXPECT_NE(source.identity(), source_id);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(move_assigned.edge_buffer(), a.edge_buffer());
+
+  // Self-assignment renews the identity too.  (Through a reference, so
+  // the compiler does not flag the self-assignment itself.)
+  Snapshot& self = a;
+  a = self;
+  EXPECT_NE(a.identity(), id);
+  EXPECT_EQ(a.num_edges(), 1u);
+  const std::uint64_t before_move = a.identity();
+  a = std::move(self);
+  EXPECT_NE(a.identity(), before_move);
+
+  // Freshly constructed snapshots never share an identity.
+  EXPECT_NE(Snapshot(4).identity(), Snapshot(4).identity());
+}
+
+TEST(Snapshot, MutatorsKeepIdentityAndBumpVersion) {
+  Snapshot s(4);
+  const std::uint64_t id = s.identity();
+  std::uint64_t version = s.version();
+  const auto expect_bumped = [&](const char* mutator) {
+    EXPECT_EQ(s.identity(), id) << mutator;
+    EXPECT_GT(s.version(), version) << mutator;
+    version = s.version();
+  };
+  s.add_edge(0, 1);
+  expect_bumped("add_edge");
+  std::vector<std::pair<NodeId, NodeId>> edges = {{1, 2}, {3, 0}};
+  s.swap_edges(edges);
+  expect_bumped("swap_edges");
+  s.clear();
+  expect_bumped("clear");
+  s.reset(6);
+  expect_bumped("reset");
+}
+
+TEST(Snapshot, HeldSnapshotKeepsIdentityAndVersion) {
+  // Reads, including the lazy CSR build, are not mutations.
+  Snapshot s(4);
+  s.add_edge(0, 1);
+  s.add_edge(2, 1);
+  const std::uint64_t id = s.identity();
+  const std::uint64_t version = s.version();
+  EXPECT_TRUE(s.has_edge(1, 2));
+  EXPECT_EQ(s.degree(1), 2u);
+  (void)s.csr();
+  (void)s.edges();
+  EXPECT_EQ(s.identity(), id);
+  EXPECT_EQ(s.version(), version);
+
+  FixedDynamicGraph d(path_graph(4));
+  const std::uint64_t fixed_id = d.snapshot().identity();
+  const std::uint64_t fixed_version = d.snapshot().version();
+  d.step();
+  d.step();
+  d.reset(7);
+  EXPECT_EQ(d.snapshot().identity(), fixed_id);
+  EXPECT_EQ(d.snapshot().version(), fixed_version);
 }
 
 TEST(FixedDynamicGraph, MirrorsGraph) {
