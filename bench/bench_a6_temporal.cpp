@@ -13,8 +13,8 @@
 #include <iostream>
 #include <memory>
 
+#include "analysis/experiment.hpp"
 #include "analysis/temporal.hpp"
-#include "bench_util.hpp"
 #include "core/trace.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
@@ -66,8 +66,8 @@ void analyze(const std::string& name, Factory&& factory,
 
 int main() {
   using namespace megflood;
-  bench::print_header(
-      "A6 / Temporal structure of the flooding-friendly regime",
+  print_header(
+      std::cout, "A6 / Temporal structure of the flooding-friendly regime",
       "The paper's models flood in polylog-factor-optimal time even when\n"
       "no snapshot is connected and no short window is T-interval\n"
       "connected; this bench quantifies that claim on the real traces.");

@@ -15,15 +15,15 @@
 #include <memory>
 
 #include "analysis/estimators.hpp"
+#include "analysis/experiment.hpp"
 #include "analysis/positional.hpp"
-#include "bench_util.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace megflood;
-  bench::print_header(
-      "E6 / Corollary 4 preconditions on the random waypoint",
+  print_header(
+      std::cout, "E6 / Corollary 4 preconditions on the random waypoint",
       "Claims: F_wp is center-biased yet (delta, lambda)-uniform for\n"
       "absolute constants; P_NM2 <= eta P_NM^2 for constant eta.");
 
@@ -87,7 +87,7 @@ int main() {
   std::cout << "empirical lambda = " << Table::num(uni.lambda, 3)
             << "   (condition (b): constant volume fraction)\n";
   std::cout << "conditions hold with modest constants: "
-            << bench::verdict(uni.delta < 10.0 && uni.lambda > 0.02) << "\n";
+            << verdict(uni.delta < 10.0 && uni.lambda > 0.02) << "\n";
 
   // Theorem 3's eta on the same model, from snapshot sampling.
   RandomWaypointModel model2(n, p, 77);
@@ -99,6 +99,6 @@ int main() {
             << "\nempirical P_NM2 = " << Table::num(pw.p_nm2, 6)
             << "\nempirical eta   = " << Table::num(pw.eta, 3)
             << "  (Theorem 3 hypothesis: constant eta) -> "
-            << bench::verdict(pw.eta < 20.0) << "\n";
+            << verdict(pw.eta < 20.0) << "\n";
   return 0;
 }

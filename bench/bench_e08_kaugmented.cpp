@@ -18,8 +18,8 @@
 #include <memory>
 
 #include "analysis/bounds.hpp"
+#include "analysis/experiment.hpp"
 #include "analysis/meeting_time.hpp"
-#include "bench_util.hpp"
 #include "core/trial.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/builders.hpp"
@@ -30,8 +30,8 @@
 
 int main() {
   using namespace megflood;
-  bench::print_header(
-      "E8 / Corollary 6 on k-augmented grids (vs. [15])",
+  print_header(
+      std::cout, "E8 / Corollary 6 on k-augmented grids (vs. [15])",
       "Claim: augmenting the grid with hop-<=k edges drops the mixing time\n"
       "~k^2 while the meeting time T* barely moves, so the T_mix-based\n"
       "Corollary-6 bound beats the T*-based bound O(T* log n) of [15] by\n"
@@ -99,11 +99,12 @@ int main() {
     }
   }
   table.print(std::cout);
-  bench::print_slope("T_mix vs k (expect ~-2)", ks, tmixes);
-  bench::print_slope("measured flooding vs k (drops with k)", ks, floods);
-  bench::print_slope("([15]/ours) advantage vs k (expect ~+2: ours improves "
-                     "k^2 faster)",
-                     ks, ratios);
+  print_slope(std::cout, "T_mix vs k (expect ~-2)", ks, tmixes);
+  print_slope(std::cout, "measured flooding vs k (drops with k)", ks, floods);
+  print_slope(std::cout,
+              "([15]/ours) advantage vs k (expect ~+2: ours improves "
+              "k^2 faster)",
+              ks, ratios);
   std::cout << "relative advantage at k=4 vs k=1: "
             << Table::num(ratios.back() / base_ratio, 2)
             << "x (paper predicts ~k^2 = 16)\n";

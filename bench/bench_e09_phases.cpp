@@ -15,7 +15,7 @@
 #include <iostream>
 #include <memory>
 
-#include "bench_util.hpp"
+#include "analysis/experiment.hpp"
 #include "core/flooding.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
@@ -106,8 +106,8 @@ void run_model(const std::string& name, std::size_t n, Factory&& factory,
 
 int main() {
   using namespace megflood;
-  bench::print_header(
-      "E9 / Phase structure of flooding (Lemmas 11-14)",
+  print_header(
+      std::cout, "E9 / Phase structure of flooding (Lemmas 11-14)",
       "Claims: the informed set doubles every O((1/(n a)+b)^2 log n)\n"
       "epochs until n/2 (spreading), then saturates in the cheaper\n"
       "O((1/(n a)+b) log n) epochs.");

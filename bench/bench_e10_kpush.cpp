@@ -19,7 +19,8 @@
 #include <iostream>
 #include <memory>
 
-#include "bench_util.hpp"
+#include "analysis/experiment.hpp"
+#include "core/format.hpp"
 #include "core/process.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
@@ -43,22 +44,22 @@ void run_model(const std::string& name, std::size_t n,
   cfg.threads = 0;
 
   const Measurement flooding_baseline = measure_flooding(factory, cfg);
-  bench::warn_incomplete(flooding_baseline, "flooding on " + name);
+  warn_incomplete(std::cout, flooding_baseline, "flooding on " + name);
   const double baseline_median = std::max(1.0, flooding_baseline.rounds.median);
 
   Table table({"protocol", "k", "rounds p50", "rounds p90",
                "slowdown vs flooding"});
   table.add_row({"flooding", "-",
-                 bench::fmt_rounds(flooding_baseline,
+                 format_rounds(flooding_baseline,
                                    flooding_baseline.rounds.median),
-                 bench::fmt_rounds(flooding_baseline,
+                 format_rounds(flooding_baseline,
                                    flooding_baseline.rounds.p90),
                  "1.00"});
 
   for (std::size_t k : {1, 2, 4, 8}) {
     const Measurement push = measure(
         factory, [k] { return std::make_unique<KPushProcess>(k); }, cfg);
-    bench::warn_incomplete(push, "k-push k=" + std::to_string(k));
+    warn_incomplete(std::cout, push, "k-push k=" + std::to_string(k));
     // The reduction: flooding on the virtual graph that keeps at most k
     // selected incident edges per node.  The overlay owns its inner model
     // and derives its selection seed from the trial seed, so the whole
@@ -69,16 +70,16 @@ void run_model(const std::string& name, std::size_t n,
                                                    seed ^ 0x517cc1b727220a95ULL);
     };
     const Measurement over = measure_flooding(overlay_factory, cfg);
-    bench::warn_incomplete(over, "overlay-flood k=" + std::to_string(k));
+    warn_incomplete(std::cout, over, "overlay-flood k=" + std::to_string(k));
     table.add_row({"k-push", Table::integer(static_cast<long long>(k)),
-                   bench::fmt_rounds(push, push.rounds.median),
-                   bench::fmt_rounds(push, push.rounds.p90),
+                   format_rounds(push, push.rounds.median),
+                   format_rounds(push, push.rounds.p90),
                    push.all_incomplete()
                        ? "-"
                        : Table::num(push.rounds.median / baseline_median, 2)});
     table.add_row({"overlay-flood", Table::integer(static_cast<long long>(k)),
-                   bench::fmt_rounds(over, over.rounds.median),
-                   bench::fmt_rounds(over, over.rounds.p90),
+                   format_rounds(over, over.rounds.median),
+                   format_rounds(over, over.rounds.p90),
                    over.all_incomplete()
                        ? "-"
                        : Table::num(over.rounds.median / baseline_median, 2)});
@@ -95,8 +96,8 @@ void run_model(const std::string& name, std::size_t n,
 
 int main() {
   using namespace megflood;
-  bench::print_header(
-      "E10 / Randomized subset-push protocol (Section 5)",
+  print_header(
+      std::cout, "E10 / Randomized subset-push protocol (Section 5)",
       "Claim: the random-subset transmission protocol reduces to flooding\n"
       "on a virtual dynamic graph with some edges removed.");
 

@@ -10,8 +10,8 @@
 #include <iostream>
 #include <memory>
 
+#include "analysis/experiment.hpp"
 #include "analysis/mixing_estimator.hpp"
-#include "bench_util.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/builders.hpp"
 #include "markov/chain.hpp"
@@ -39,7 +39,7 @@ void edge_chain_mixing() {
     tmix.push_back(t);
   }
   table.print(std::cout);
-  bench::print_slope("T_mix vs 1/(p+q) (expect ~1)", inv_rate, tmix);
+  print_slope(std::cout, "T_mix vs 1/(p+q) (expect ~1)", inv_rate, tmix);
 }
 
 void waypoint_mixing() {
@@ -92,7 +92,7 @@ void waypoint_mixing() {
     }
   }
   table.print(std::cout);
-  bench::print_slope("T_mix vs L/v (expect ~1)", l_over_v, tmix);
+  print_slope(std::cout, "T_mix vs L/v (expect ~1)", l_over_v, tmix);
 }
 
 void kaugmented_mixing() {
@@ -121,7 +121,7 @@ void kaugmented_mixing() {
     tmix.push_back(t);
   }
   table.print(std::cout);
-  bench::print_slope("T_mix vs k (expect ~-2)", ks, tmix);
+  print_slope(std::cout, "T_mix vs k (expect ~-2)", ks, tmix);
 }
 
 }  // namespace
@@ -129,8 +129,8 @@ void kaugmented_mixing() {
 
 int main() {
   using namespace megflood;
-  bench::print_header(
-      "E11 / Mixing-time inputs",
+  print_header(
+      std::cout, "E11 / Mixing-time inputs",
       "Claims quoted by the paper: T_mix(edge chain) = Theta(1/(p+q));\n"
       "T_mix(waypoint) = Theta(L/v_max); T_mix(k-augmented grid walk)\n"
       "decreases ~ k^2.");

@@ -13,7 +13,7 @@
 #include <iostream>
 #include <memory>
 
-#include "bench_util.hpp"
+#include "analysis/experiment.hpp"
 #include "core/flooding.hpp"
 #include "meg/edge_meg.hpp"
 #include "mobility/random_waypoint.hpp"
@@ -74,8 +74,8 @@ void run_model(const std::string& name, Factory&& factory,
 
 int main() {
   using namespace megflood;
-  bench::print_header(
-      "E12 / Source maximization methodology (F(G) = max_s F(G, s))",
+  print_header(
+      std::cout, "E12 / Source maximization methodology (F(G) = max_s F(G, s))",
       "Exact all-sources flooding per realization, quantifying how much\n"
       "the source choice matters for each model family.");
 

@@ -24,7 +24,7 @@ double BoundCalibrator::record(double measured, double raw_bound) {
   }
   ++observations_;
   const double calibrated = constant_ * raw_bound;
-  if (measured > slack_ * calibrated) all_dominated_ = false;
+  if (!dominates(measured, calibrated)) all_dominated_ = false;
   return calibrated;
 }
 

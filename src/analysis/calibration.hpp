@@ -30,6 +30,10 @@ class BoundCalibrator {
   double constant() const noexcept { return constant_; }
   double slack() const noexcept { return slack_; }
   bool calibrated() const noexcept { return calibrated_; }
+  // The per-observation check: measured <= slack * calibrated bound.
+  bool dominates(double measured, double calibrated) const noexcept {
+    return measured <= slack_ * calibrated;
+  }
   // True while every recorded measurement was <= slack * constant * bound.
   bool all_dominated() const noexcept { return all_dominated_; }
   std::size_t observations() const noexcept { return observations_; }

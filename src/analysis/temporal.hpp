@@ -9,9 +9,9 @@
 //
 // These are diagnostics: the paper's MEG results deliberately avoid any
 // per-window connectivity assumption (single snapshots may be wildly
-// disconnected), and bench_a6 quantifies exactly that — sparse edge-MEGs
-// flood fast even though their snapshots are never connected and only
-// long unions connect.
+// disconnected), and ablation A6 (`bench_a6_temporal`) quantifies exactly
+// that — sparse edge-MEGs flood fast even though their snapshots are never
+// connected and only long unions connect.
 
 #include <cstddef>
 #include <vector>

@@ -8,17 +8,6 @@
 
 namespace megflood {
 
-namespace {
-
-// Local equivalent of bench/bench_util.hpp's table helper: the formatter
-// lives in the library and must not depend on the bench tree.
-std::string fmt_rounds(const Measurement& m, double value,
-                       int precision = 1) {
-  return m.all_incomplete() ? "n/a (0 done)" : Table::num(value, precision);
-}
-
-}  // namespace
-
 std::string format_double(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.10g", value);
@@ -32,6 +21,10 @@ std::string format_cli_number(double value) {
     return buffer;
   }
   return format_double(value);
+}
+
+std::string format_rounds(const Measurement& m, double value, int precision) {
+  return m.all_incomplete() ? "n/a (0 done)" : Table::num(value, precision);
 }
 
 std::string json_quote(const std::string& s) {
@@ -151,17 +144,17 @@ void emit_table(std::ostream& out, const ScenarioSpec& spec,
   out << "n = " << result.num_nodes << ", completed " << m.rounds.count << "/"
       << spec.trial.trials << " trials\n\n";
   Table table({"statistic", "value"});
-  table.add_row({"rounds mean", fmt_rounds(m, m.rounds.mean)});
-  table.add_row({"rounds median", fmt_rounds(m, m.rounds.median)});
-  table.add_row({"rounds p90", fmt_rounds(m, m.rounds.p90)});
-  table.add_row({"rounds p99", fmt_rounds(m, m.rounds.p99)});
-  table.add_row({"rounds max", fmt_rounds(m, m.rounds.max, 0)});
+  table.add_row({"rounds mean", format_rounds(m, m.rounds.mean)});
+  table.add_row({"rounds median", format_rounds(m, m.rounds.median)});
+  table.add_row({"rounds p90", format_rounds(m, m.rounds.p90)});
+  table.add_row({"rounds p99", format_rounds(m, m.rounds.p99)});
+  table.add_row({"rounds max", format_rounds(m, m.rounds.max, 0)});
   table.add_row(
-      {"spreading median", fmt_rounds(m, m.spreading_rounds.median)});
+      {"spreading median", format_rounds(m, m.spreading_rounds.median)});
   table.add_row(
-      {"saturation median", fmt_rounds(m, m.saturation_rounds.median)});
+      {"saturation median", format_rounds(m, m.saturation_rounds.median)});
   for (const auto& [name, summary] : m.metrics) {
-    table.add_row({name + " median", fmt_rounds(m, summary.median, 0)});
+    table.add_row({name + " median", format_rounds(m, summary.median, 0)});
   }
   table.print(out);
   if (m.all_incomplete()) {

@@ -27,6 +27,12 @@ std::string format_double(double value);
 // "128.0", to survive the u64 parser), everything else %.10g.
 std::string format_cli_number(double value);
 
+// A round statistic as a human-facing table cell.  When no trial
+// completed every Summary field reads 0, which must not print as a real
+// round count: the cell reads "n/a (0 done)" instead.
+std::string format_rounds(const Measurement& m, double value,
+                          int precision = 1);
+
 // JSON string literal: quotes, backslash-escapes '"' and '\\', and
 // \u00XX-escapes control characters so an emitted line can never contain
 // a raw newline (the serve protocol is newline-delimited).

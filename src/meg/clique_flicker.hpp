@@ -10,7 +10,7 @@
 // edges are *maximally positively correlated*: if one clique edge exists,
 // all of them do — Theorem 1's beta is ~ n/(rho m), enormous.
 //
-// Purpose (ablation bench_a2 / DESIGN.md section 6), two findings:
+// Purpose (ablation A2, `megflood_fit a2`), two findings:
 //  * resample_probability = 1 (i.i.d. cliques): beta is huge yet flooding
 //    matches the matched-alpha independent edge-MEG — the beta^2 factor
 //    in Theorem 1's bound is sufficient-side slack, not a lower bound;

@@ -5,9 +5,9 @@
 // A) only needs edges to evolve independently; Theorem 1's Density
 // Condition is then governed by alpha = min_e p_e/(p_e + q_e) and the
 // epoch length by the slowest edge, M = max_e T_mix(p_e, q_e).  This
-// model exercises exactly that worst-edge structure — the ablation
-// bench_a3 compares it against a homogeneous model matched to the same
-// worst-edge alpha.
+// model exercises exactly that worst-edge structure — ablation A3
+// (`megflood_fit a3`) compares it against homogeneous models pinned at
+// the worst-edge and the mean alpha.
 //
 // Sampling engine: edges are bucketed by rate class (distinct (p, q)
 // pairs, e.g. the two classes of two_speed_rates) and, within a class, by

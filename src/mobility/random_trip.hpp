@@ -11,7 +11,7 @@
 //   * biased destination laws.
 // Corollary 4 only cares about the positional density F_T (conditions
 // (a)/(b)) and the mixing time, so these variants are the natural
-// ablations of the paper's generality claim (bench_a4).
+// ablations of the paper's generality claim (`megflood_fit a4`).
 
 #include <cstdint>
 #include <memory>

@@ -1,8 +1,8 @@
 #pragma once
 
-// Aligned plain-text table output for the experiment harnesses.  Every
-// bench binary prints paper-style rows through this, so EXPERIMENTS.md can
-// quote the output verbatim.
+// Aligned plain-text table output for the experiment tables
+// (analysis/experiment, the bench/ harnesses) and megflood_run's table
+// format.
 
 #include <cstddef>
 #include <ostream>
@@ -23,6 +23,9 @@ class Table {
   static std::string integer(long long value);
 
   void print(std::ostream& os) const;
+
+  const std::vector<std::string>& headers() const { return headers_; }
+  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
  private:
   std::vector<std::string> headers_;

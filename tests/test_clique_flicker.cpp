@@ -89,7 +89,7 @@ TEST(CliqueFlicker, StickySubsetPersists) {
 }
 
 TEST(CliqueFlicker, IidCliquesFloodLikeMatchedIndependent) {
-  // Finding (bench_a2): beta is enormous here (~n/(rho m) ~ 21), yet with
+  // Finding (ablation A2): beta is enormous here (~n/(rho m) ~ 21), yet with
   // i.i.d. clique placement flooding stays within a small constant factor
   // of the independent edge-MEG at the same per-pair alpha (the
   // correlation only taxes the saturation tail) — far from the beta^2
